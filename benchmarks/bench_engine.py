@@ -1,38 +1,27 @@
-"""Standalone scalar / vectorized / bit-parallel engine benchmark.
+"""Standalone scalar / bit-parallel engine benchmark.
 
 Runs the two hot sampling loops (targeted RR-set generation and IC
-cascade simulation) on a ladder of synthetic configs, four ways each:
+cascade simulation) on a ladder of synthetic configs, two ways each:
 
 * ``scalar`` — the per-sample reference traversals (the correctness
   oracle in :mod:`repro.sketch` / :mod:`repro.diffusion`);
-* ``vectorized`` — the frontier-batched kernels via a serial
-  :class:`~repro.engine.SamplingEngine`;
 * ``bitparallel`` — the 64-worlds-per-word kernels
-  (:mod:`repro.engine.bitworld`) via a serial engine;
-* ``parallel`` — the bit-parallel engine with a process pool fed
-  through the zero-copy shared-memory CSR transport
-  (:mod:`repro.engine.shared_csr`); pool startup is excluded. Jobs
-  below the engine's ``parallel_threshold`` auto-fall back to the
-  in-process path — ``parallel_fell_back`` says when that happened,
-  and the gated configs are sized so it must stay ``false``.
+  (:mod:`repro.engine.bitworld`) via a :class:`~repro.engine.SamplingEngine`.
 
-A fifth measurement times **incremental sketch repair** against a cold
+A third measurement times **incremental sketch repair** against a cold
 rebuild after a sparse edit batch (see ``docs/mutability.md``); its
 speedup is reported as ``incremental_repair_speedup`` and gated.
 
-Timings use interleaved min-of-repeats: each repeat cycles through all
-four variants back-to-back, and the minimum per variant is reported.
-On noisy shared boxes this is far more stable than timing each variant
-in its own contiguous block (drift hits all variants equally).
+Timings use interleaved min-of-repeats: each repeat cycles through the
+variants back-to-back, and the minimum per variant is reported. On
+noisy shared boxes this is far more stable than timing each variant in
+its own contiguous block (drift hits all variants equally).
 
 Writes ``BENCH_engine.json`` next to the repo root and prints a table.
-``scripts/check_bench.py`` re-validates the artifact (geomean
-bit-parallel RR speedup, pool fan-out, no leaked segments). Usage::
+``scripts/check_bench.py`` re-validates the artifact (bit-parallel RR
+speedup floor, incremental-repair floor). Usage::
 
     PYTHONPATH=src:. python benchmarks/bench_engine.py --quick
-    PYTHONPATH=src:. python benchmarks/bench_engine.py --quick \
-        --min-speedup 2.0     # legacy gate: exit 1 if the largest
-                              # config's vectorized speedup falls below
     PYTHONPATH=src:. python benchmarks/bench_engine.py --quick \
         --metrics-out obs.json   # observability report for the run
 """
@@ -51,12 +40,12 @@ import numpy as np
 from repro import obs
 from repro.datasets import bfs_targets, twitter, yelp
 from repro.diffusion import simulate_cascade
-from repro.engine import SamplingEngine, shared_csr
+from repro.engine import SamplingEngine
 from repro.graphs.mutable import MutableTagGraph, TagSet
 from repro.sketch import build_repairable_sketch, reverse_reachable_set
 
 #: (label, factory, scale) — ordered smallest to largest; the *last*
-#: entry is the one the --min-speedup gate checks.
+#: entry is the one ``scripts/check_bench.py`` gates.
 QUICK_CONFIGS = [
     ("yelp-0.5", yelp, 0.5),
     ("twitter-1.0", twitter, 1.0),
@@ -70,9 +59,9 @@ def _interleaved_min(fns: dict, repeats: int) -> dict:
     """Min wall time per variant, interleaving variants each repeat.
 
     A contiguous per-variant loop lets slow drift (thermal, noisy
-    neighbours) bias whole variants; cycling scalar→vectorized→bit→pool
-    every repeat spreads the noise across all of them, and min-of-N
-    discards the noise entirely.
+    neighbours) bias whole variants; cycling through the variants every
+    repeat spreads the noise across all of them, and min-of-N discards
+    the noise entirely.
     """
     best = {name: float("inf") for name in fns}
     for _ in range(repeats):
@@ -90,8 +79,6 @@ def bench_config(
     theta: int,
     num_cascades: int,
     repeats: int,
-    workers: int,
-    parallel_threshold: int | None = None,
 ) -> dict:
     data = factory(scale=scale)
     graph = data.graph
@@ -116,23 +103,11 @@ def bench_config(
             for _ in range(num_cascades)
         ]
 
-    serial_vec = SamplingEngine(mode="vectorized", workers=1)
-    # One shard for the serial bit-parallel leg: shard bookkeeping
-    # (per-shard root draws, live-CSR rebuilds, collector stitching)
-    # belongs to the pooled measurement, not the kernel one.
-    serial_bit = SamplingEngine(
-        mode="bitparallel", workers=1,
-        shard_size=max(theta, num_cascades),
-    )
-    # Size shards so the pooled engine genuinely fans out (a shard that
-    # fits the whole θ would collapse the run into one task).
-    shard = max(64, min(theta, num_cascades) // (2 * workers))
-    pooled_kwargs = {}
-    if parallel_threshold is not None:
-        pooled_kwargs["parallel_threshold"] = parallel_threshold
-    pooled = SamplingEngine(
-        mode="bitparallel", workers=workers, shard_size=shard,
-        **pooled_kwargs,
+    # One shard for the bit-parallel leg: shard bookkeeping (per-shard
+    # root draws, live-CSR rebuilds, collector stitching) is not part
+    # of the kernel measurement.
+    bit = SamplingEngine(
+        mode="bitparallel", shard_size=max(theta, num_cascades)
     )
 
     def rr_engine(engine: SamplingEngine):
@@ -145,27 +120,17 @@ def bench_config(
             graph, seeds, probs, num_cascades, targets, rng=0
         )
 
-    # Warm all engines (CSR caches, process pool, shared segments)
-    # outside the timing.
-    rr_engine(serial_vec)()
-    rr_engine(serial_bit)()
-    rr_engine(pooled)()
+    # Warm the graph's CSR caches outside the timing.
+    rr_engine(bit)()
 
-    rr_fns = {
-        "scalar": rr_scalar,
-        "vectorized": rr_engine(serial_vec),
-        "bitparallel": rr_engine(serial_bit),
-        "parallel": rr_engine(pooled),
-    }
+    rr_fns = {"scalar": rr_scalar, "bitparallel": rr_engine(bit)}
     cascade_fns = {
         "scalar": cascade_scalar,
-        "vectorized": cascade_engine(serial_vec),
-        "bitparallel": cascade_engine(serial_bit),
-        "parallel": cascade_engine(pooled),
+        "bitparallel": cascade_engine(bit),
     }
     rr_times = _interleaved_min(rr_fns, repeats)
     cascade_times = _interleaved_min(cascade_fns, repeats)
-    # The engine legs are 20-40x cheaper than scalar, so extra repeats
+    # The engine leg is 20-40x cheaper than scalar, so extra repeats
     # cost almost nothing — and min-of-N needs more draws on a noisy
     # box to find the floor of a 10 ms measurement than a 700 ms one.
     extra = 9
@@ -180,27 +145,14 @@ def bench_config(
         "num_edges": graph.num_edges,
         "theta": theta,
         "num_cascades": num_cascades,
-        "workers": workers,
         "rr": {f"{name}_s": t for name, t in rr_times.items()},
         "cascade": {f"{name}_s": t for name, t in cascade_times.items()},
     }
     for section in ("rr", "cascade"):
         timings = result[section]
-        for name in ("vectorized", "bitparallel", "parallel"):
-            timings[f"{name}_speedup"] = round(
-                timings["scalar_s"] / timings[f"{name}_s"], 2
-            )
-    # Whether the small-work guard sent the "parallel" runs down the
-    # in-process path instead of the pool (see SamplingEngine's
-    # parallel_threshold). The gated configs must keep this false —
-    # it proves the shared-memory fan-out was actually measured.
-    result["parallel_fell_back"] = pooled.telemetry.parallel_fallbacks > 0
-    serial_vec.close()
-    serial_bit.close()
-    pooled.close()
-    # Every shared segment the pooled engine created must be unlinked
-    # by now; anything left is a leak and fails the artifact gate.
-    result["leaked_segments"] = sorted(shared_csr.active_tokens())
+        timings["bitparallel_speedup"] = round(
+            timings["scalar_s"] / timings["bitparallel_s"], 2
+        )
     return result
 
 
@@ -303,18 +255,7 @@ def main(argv=None) -> int:
                         help="cascade samples per measurement")
     parser.add_argument("--repeats", type=int, default=None,
                         help="repeats per case (min reported)")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--output", default="BENCH_engine.json")
-    parser.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="exit non-zero unless the largest config's vectorized "
-             "speedup meets this for both RR and cascade",
-    )
-    parser.add_argument(
-        "--parallel-threshold", type=int, default=None,
-        help="override the pooled engine's small-work fallback "
-             "threshold (0 forces the pool even for tiny jobs)",
-    )
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="write an observability report (repro.obs.report/1) "
@@ -325,7 +266,7 @@ def main(argv=None) -> int:
     configs = QUICK_CONFIGS if args.quick else FULL_CONFIGS
     # θ is sized so the bit-parallel kernels amortise their packing
     # setup (they process 64 worlds per pass — hundreds of samples is
-    # pure overhead) and so the pooled runs clear parallel_threshold.
+    # pure overhead).
     theta = args.theta or (25600 if args.quick else 51200)
     cascades = args.cascades or (6400 if args.quick else 12800)
     repeats = args.repeats or (3 if args.quick else 5)
@@ -339,9 +280,7 @@ def main(argv=None) -> int:
             print(f"benchmarking {label} ...", flush=True)
             results.append(
                 bench_config(
-                    label, factory, scale, theta, cascades, repeats,
-                    args.workers,
-                    parallel_threshold=args.parallel_threshold,
+                    label, factory, scale, theta, cascades, repeats
                 )
             )
         gated_label, gated_factory, gated_scale = configs[-1]
@@ -376,8 +315,8 @@ def main(argv=None) -> int:
     out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
     header = (
-        f"{'config':<14}{'case':<10}{'scalar s':>10}{'vector s':>10}"
-        f"{'bit s':>10}{'par s':>10}{'vec x':>8}{'bit x':>8}{'par x':>8}"
+        f"{'config':<14}{'case':<10}{'scalar s':>10}{'bit s':>10}"
+        f"{'bit x':>8}"
     )
     print("\n" + header)
     print("-" * len(header))
@@ -386,18 +325,9 @@ def main(argv=None) -> int:
             t = row[section]
             print(
                 f"{row['config']:<14}{section:<10}"
-                f"{t['scalar_s']:>10.4f}{t['vectorized_s']:>10.4f}"
-                f"{t['bitparallel_s']:>10.4f}{t['parallel_s']:>10.4f}"
-                f"{t['vectorized_speedup']:>8.2f}"
+                f"{t['scalar_s']:>10.4f}{t['bitparallel_s']:>10.4f}"
                 f"{t['bitparallel_speedup']:>8.2f}"
-                f"{t['parallel_speedup']:>8.2f}"
             )
-    fell_back = [r["config"] for r in results if r["parallel_fell_back"]]
-    if fell_back:
-        print(
-            "note: parallel runs fell back to the in-process path "
-            f"(work below threshold) on: {', '.join(fell_back)}"
-        )
     print(
         "rr bit-parallel geomean speedup: "
         f"{report['rr_bitparallel_geomean_speedup']:.2f}x"
@@ -412,23 +342,6 @@ def main(argv=None) -> int:
     )
     print(f"\nwrote {out_path}")
 
-    if args.min_speedup is not None:
-        largest = results[-1]
-        worst = min(
-            largest["rr"]["vectorized_speedup"],
-            largest["cascade"]["vectorized_speedup"],
-        )
-        if worst < args.min_speedup:
-            print(
-                f"FAIL: vectorized speedup {worst:.2f}x on "
-                f"{largest['config']} below required "
-                f"{args.min_speedup:.2f}x"
-            )
-            return 1
-        print(
-            f"OK: vectorized speedup {worst:.2f}x on {largest['config']} "
-            f"meets {args.min_speedup:.2f}x"
-        )
     return 0
 
 

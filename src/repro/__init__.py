@@ -25,8 +25,10 @@ Package map
 ``repro.index``
     Per-tag possible-world indexing: I-TRS, L-TRS, LL-TRS.
 ``repro.engine``
-    Vectorized frontier-batched sampling substrate with optional
-    multi-process fan-out (``SamplingEngine``, ``RRCollection``).
+    The in-process sampling engine: sharded, seeded RR-set and cascade
+    sampling with the bit-parallel kernel (64 possible worlds per
+    machine word) or the scalar oracle (``SamplingEngine``,
+    ``RRCollection``).
 ``repro.seeds`` / ``repro.tags``
     Seed finding and tag finding (batch-paths vs individual-paths).
 ``repro.core``
@@ -38,7 +40,8 @@ Package map
     answering many queries over one graph with single-flight,
     byte-accounted cross-query asset reuse (RR sketches, warm results,
     frozen indexes) — served answers stay bit-identical to direct
-    library calls.
+    library calls. ``ShardedCampaignService`` is the one
+    process-parallel layer: N worker processes behind a router.
 """
 
 from repro import analysis, datasets

@@ -67,10 +67,10 @@ speedscope for flamegraphs), and ``--profile`` additionally enables
 the per-kernel profiling hooks. Observability is off — and costs
 nothing — unless one of these flags is given.
 
-Sampler-enabled subcommands additionally expose the fault-tolerant
-runtime: ``--retries`` (per-shard retry count), ``--deadline`` /
-``--max-samples`` (run budget — a tripped limit prints the partial
-result), and ``--checkpoint-dir`` / ``--resume`` (shard-granular
+Sampler-enabled subcommands additionally take ``--sampler
+scalar|bitparallel``, ``--deadline`` / ``--max-samples`` (run budget —
+a tripped limit prints the partial result), and ``--checkpoint-dir`` /
+``--resume`` (shard-granular
 checkpointing; an interrupted run re-issued with ``--resume`` splices
 the checkpointed prefixes back in and yields identical output).
 ``SIGTERM``/``Ctrl-C`` exit cleanly after flushing checkpoints.
@@ -116,24 +116,18 @@ def _parse_tags(text: str) -> list[str]:
 def _make_sampler(args: argparse.Namespace):
     """Build a ``SamplingEngine`` from the sampler/runtime flags, or None.
 
-    ``--retries`` or ``--checkpoint-dir`` without an explicit
-    ``--sampler`` implies the vectorized engine — the runtime layer
-    lives on the engine, so asking for it opts in.
+    ``--checkpoint-dir`` without an explicit ``--sampler`` implies the
+    bit-parallel engine — checkpoints live on the engine, so asking for
+    them opts in.
     """
     mode = getattr(args, "sampler", None)
-    retries = getattr(args, "retries", None)
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     if mode is None:
-        if retries is None and checkpoint_dir is None:
+        if checkpoint_dir is None:
             return None
-        mode = "vectorized"
+        mode = "bitparallel"
     from repro.engine.parallel import SamplingEngine
 
-    retry_policy = None
-    if retries is not None:
-        from repro.engine.runtime import RetryPolicy
-
-        retry_policy = RetryPolicy(max_attempts=max(int(retries), 0) + 1)
     checkpoint = None
     if checkpoint_dir is not None:
         from repro.engine.checkpoint import CheckpointManager
@@ -141,12 +135,7 @@ def _make_sampler(args: argparse.Namespace):
         checkpoint = CheckpointManager(
             checkpoint_dir, resume=bool(getattr(args, "resume", False))
         )
-    return SamplingEngine(
-        mode=mode,
-        workers=getattr(args, "workers", 1),
-        retry_policy=retry_policy,
-        checkpoint=checkpoint,
-    )
+    return SamplingEngine(mode=mode, checkpoint=checkpoint)
 
 
 def _make_budget(args: argparse.Namespace):
@@ -161,7 +150,7 @@ def _make_budget(args: argparse.Namespace):
 
 
 def _sampler_scope(sampler):
-    """Context manager guaranteeing pool shutdown even on errors."""
+    """Context manager closing the sampler (if any) on every exit path."""
     return sampler if sampler is not None else contextlib.nullcontext()
 
 
@@ -199,28 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_sampler(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--sampler",
-            choices=("scalar", "vectorized", "bitparallel"),
+            choices=("scalar", "bitparallel"),
             default=None,
             help=(
-                "sampling substrate: 'vectorized' runs frontier-batched "
-                "numpy kernels, 'bitparallel' packs 64 possible worlds "
-                "per machine word (fastest); default keeps the scalar "
-                "reference path"
-            ),
-        )
-        p.add_argument(
-            "--workers", type=int, default=1,
-            help=(
-                "worker processes for the vectorized/bitparallel "
-                "samplers (default 1); multi-worker runs share the "
-                "graph via shared memory"
-            ),
-        )
-        p.add_argument(
-            "--retries", type=int, default=None,
-            help=(
-                "retries per shard for transient failures (implies "
-                "--sampler vectorized; engine default is 2)"
+                "sampling engine: 'bitparallel' packs 64 possible "
+                "worlds per machine word, 'scalar' runs the reference "
+                "loops under the engine's sharding; default keeps the "
+                "library's scalar path without an engine"
             ),
         )
         p.add_argument(
@@ -238,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--checkpoint-dir", default=None,
             help=(
                 "directory for shard-granular checkpoints (implies "
-                "--sampler vectorized)"
+                "--sampler bitparallel)"
             ),
         )
         p.add_argument(
@@ -492,6 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_chaos(serve)
     add_sampler(serve)
+    serve.add_argument(
+        "--workers", type=int, default=1,
+        help=(
+            "fleet size: N > 1 boots N worker processes behind one "
+            "router (same wire protocol, bit-identical answers)"
+        ),
+    )
 
     loadgen = sub.add_parser(
         "loadgen",

@@ -83,9 +83,9 @@ class JointResult:
     elapsed_seconds:
         Total wall-clock time.
     telemetry:
-        Runtime failure counters (shards retried, pool rebuilds,
-        checkpoint writes, ...) when a fault-tolerant sampler ran the
-        sub-solvers; ``None`` on the scalar path.
+        Runtime counters (shards run, checkpoint writes/loads) when a
+        sampling engine ran the sub-solvers; ``None`` on the scalar
+        path.
     report:
         Observability report (metrics + trace + phases) when the run
         happened inside an :func:`repro.obs.observe` scope; ``None``

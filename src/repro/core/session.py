@@ -44,13 +44,11 @@ class CampaignSession:
     sampler:
         Optional :class:`~repro.engine.SamplingEngine` shared by every
         query of the session: seed selections sample RR sets and spread
-        checks run cascades through it (frontier-batched, and sharded
-        across its worker pool when ``workers > 1``). The determinism
-        contract carries over — a session with a fixed seed replays
-        identically for any worker count. A sampler built with a
-        :class:`~repro.engine.RetryPolicy`, :class:`FaultPlan`, or
+        checks run cascades through it (bit-parallel by default). The
+        determinism contract carries over — a session with a fixed seed
+        replays identically. A sampler built with a
         :class:`~repro.engine.CheckpointManager` makes every session
-        query fault tolerant (and, with checkpoints, resumable).
+        query resumable after an interrupt.
     """
 
     def __init__(

@@ -71,8 +71,8 @@ def estimate_spread(
         ``None`` and no per-call target validation or sorting happens.
     engine:
         Optional :class:`~repro.engine.SamplingEngine`: cascades are
-        then simulated frontier-batched (and sharded across processes
-        for ``workers > 1``) instead of one scalar BFS per sample.
+        then simulated by its per-shard kernel (64 per machine word in
+        the bit-parallel mode) instead of one scalar BFS per sample.
     budget:
         Optional :class:`~repro.engine.RunBudget`. A tripped limit
         raises :class:`~repro.exceptions.BudgetExceededError` whose

@@ -1,88 +1,57 @@
-"""The sampling engine: shard-parallel RR-set and cascade fan-out.
+"""The sampling engine: sharded, seeded RR-set and cascade sampling.
 
 Sketch-based influence maximization is embarrassingly parallel across
 samples (Cohen et al., VLDB 2014): each RR set / cascade only reads the
-graph. :class:`SamplingEngine` exploits that with a
-``ProcessPoolExecutor``-backed driver that shards the θ samples into
-fixed-size shards and runs each shard with its own child RNG stream.
+graph. :class:`SamplingEngine` takes that parallelism inside one
+process — the bit-parallel kernel advances 64 possible worlds per
+machine word — and leaves process-level parallelism to the sharded
+campaign service (:mod:`repro.serve.shard`), where each worker process
+runs its own engine.
 
 Determinism contract
 --------------------
-Sharding depends only on ``(theta, shard_size)`` — never on ``workers``
-— and each shard is keyed to a child ``SeedSequence`` spawned from the
-master generator's spawn tree, in shard order. A shard's samples are a
-pure function of its seed sequence, so shard ``i`` produces the same
-output no matter which worker runs it, in what order shards finish, or
-**how many times it had to be attempted** — the fault-tolerant runtime
-(:mod:`repro.engine.runtime`) leans on this to retry failed shards,
-rebuild broken pools, degrade to the in-process path, and splice
-checkpointed prefixes, all without changing a single sampled bit.
-Results are concatenated in shard order. Consequences:
+The θ samples of one operation are split into fixed-size shards
+(depending only on ``(theta, shard_size)``), and each shard is keyed to
+a child ``SeedSequence`` spawned from the master generator's spawn
+tree, in shard order. A shard's samples are a pure function of its
+seed sequence, so:
 
-* same master seed ⇒ bit-identical output for any ``workers`` count
-  and any retry/failure schedule;
-* the serial path (``workers=1``) runs in-process — no pool, no pickling;
+* same master seed ⇒ bit-identical output, whether the shards run in
+  one call, are spliced from checkpoints (:mod:`repro.engine.checkpoint`)
+  or are partitioned across fleet workers
+  (:meth:`SamplingEngine.sample_rr_partition`);
 * successive calls on one engine with a shared generator consume the
   generator's spawn counter, so a session remains replayable end to end.
 
-The ``mode`` knob selects the per-shard kernel: ``"vectorized"`` uses
-the frontier-batched kernels of :mod:`repro.engine.frontier`;
-``"bitparallel"`` packs 64 possible worlds per uint64 word with
-counter-based coins (:mod:`repro.engine.bitworld`) — the fastest
-substrate; ``"scalar"`` runs the original per-edge Python loops (the
-correctness oracle), which keeps cross-mode comparisons honest under
-the identical sharding and driver overheads.
-
-Multi-worker engines in the shared-memory-capable modes (vectorized,
-bit-parallel) do not pickle the graph into shard tasks. The engine
-publishes each graph's CSR arrays once through
-:class:`~repro.engine.shared_csr.SharedCSR` and ships a tiny attach
-handle instead; every worker maps the same physical pages read-only.
-The per-operation probability vector travels the same way and is
-unlinked as soon as the operation completes.
+The ``mode`` knob selects the per-shard kernel: ``"bitparallel"`` (the
+default) packs 64 possible worlds per uint64 word with counter-based
+coins (:mod:`repro.engine.bitworld`); ``"scalar"`` runs the original
+per-edge Python loops, the correctness oracle, under the identical
+sharding and driver.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 from repro import obs
-from repro.engine.checkpoint import CheckpointManager, rng_state_digest
-from repro.engine.faults import FaultPlan
-from repro.engine.frontier import (
-    batched_cascade_counts,
-    batched_rr_members,
+from repro.engine.bitworld import (
     bitparallel_cascade_counts,
     bitparallel_rr_members,
 )
+from repro.engine.checkpoint import CheckpointManager, rng_state_digest
 from repro.engine.rr_storage import RRCollection
-from repro.engine.shared_csr import (
-    CSRGraphHandle,
-    CSRGraphView,
-    SharedCSR,
-    SharedProbs,
-    resolve_edge_probs,
-    resolve_graph,
-)
-from repro.engine.runtime import (
-    RetryPolicy,
-    RunBudget,
-    RunTelemetry,
-    execute_shards,
-)
+from repro.engine.runtime import RunBudget, RunTelemetry, execute_shards
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.graphs.tag_graph import TagGraph
 from repro.utils.rng import ensure_rng, spawn_seed_sequences
 
-MODES = ("scalar", "vectorized", "bitparallel")
+MODES = ("scalar", "bitparallel")
 
-#: Default samples per shard. Small enough that a handful of shards
-#: exist even at pilot sizes (so ``workers=4`` has work to spread),
-#: large enough that per-shard dispatch overhead is negligible.
+#: Default samples per shard for the scalar mode: small enough that a
+#: handful of shards exist even at pilot sizes (so checkpoints have a
+#: useful granularity), large enough that per-shard overhead is
+#: negligible.
 DEFAULT_SHARD_SIZE = 512
 
 #: Default samples per shard for the bit-parallel kernel. Each uint64
@@ -92,22 +61,6 @@ DEFAULT_SHARD_SIZE = 512
 #: while still producing multiple shards at realistic θ. Like
 #: ``shard_size`` generally, this is part of the determinism contract.
 DEFAULT_BITPARALLEL_SHARD_SIZE = 8192
-
-#: Below this many total samples, pool dispatch costs more than the
-#: sampling itself (``BENCH_engine.json`` showed parallel_speedup
-#: 0.04-0.78 on the quick configs), so a multi-worker engine falls
-#: back to the in-process vectorized path. Results are unaffected —
-#: the determinism contract already guarantees serial == pooled.
-DEFAULT_PARALLEL_THRESHOLD = 4096
-
-#: Pickle-transport surcharge for modes that ship the whole graph into
-#: every shard task (currently only ``"scalar"``; the vectorized and
-#: bit-parallel modes attach to a :class:`SharedCSR` by name instead).
-#: Serializing + deserializing one edge costs about as much as sampling
-#: 1/200th of a sample on the evaluation graphs, so an operation must
-#: bring at least ``num_edges / 200`` extra samples of work before the
-#: pool pays for the copies it forces.
-TRANSPORT_EDGES_PER_SAMPLE = 200
 
 
 def _shard_counts(total: int, shard_size: int) -> list[int]:
@@ -123,25 +76,18 @@ def _shard_counts(total: int, shard_size: int) -> list[int]:
 
 
 def _rr_shard(
-    graph: TagGraph | CSRGraphHandle,
+    graph: TagGraph,
     target_arr: np.ndarray,
-    edge_probs,
+    edge_probs: np.ndarray,
     count: int,
     seed_seq: np.random.SeedSequence,
     mode: str,
-    batch_size: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One shard of RR samples; module-level so process pools can pickle it.
+    """One shard of RR samples as flat ``(members, indptr)``.
 
-    The shard's generator is rebuilt from ``seed_seq`` at the top of
-    every attempt, so retries replay the shard bit-identically.
-    ``graph`` is either the graph itself (serial path / scalar mode) or
-    a :class:`~repro.engine.shared_csr.CSRGraphHandle` the worker
-    attaches to by name — same for ``edge_probs`` and
-    :class:`~repro.engine.shared_csr.ProbsHandle`.
+    The shard's generator is rebuilt from ``seed_seq``, so the shard
+    replays bit-identically in any run that reaches it.
     """
-    graph = resolve_graph(graph)
-    edge_probs = resolve_edge_probs(edge_probs)
     rng = np.random.default_rng(seed_seq)
     roots = rng.choice(target_arr, size=count)
     if mode == "scalar":
@@ -153,30 +99,23 @@ def _rr_shard(
         ]
         flat = RRCollection.from_sets(sets, graph.num_nodes)
         return flat.members, flat.indptr
-    if mode == "bitparallel":
-        # The coin-stream key is drawn *after* the roots from the same
-        # shard stream, so the (roots, key) pair is a pure function of
-        # seed_seq — replayable across retries and worker counts.
-        key = int(rng.integers(np.iinfo(np.int64).max, dtype=np.int64))
-        return bitparallel_rr_members(graph, roots, edge_probs, key)
-    return batched_rr_members(
-        graph, roots, edge_probs, rng, batch_size=batch_size
-    )
+    # The coin-stream key is drawn *after* the roots from the same
+    # shard stream, so the (roots, key) pair is a pure function of
+    # seed_seq.
+    key = int(rng.integers(np.iinfo(np.int64).max, dtype=np.int64))
+    return bitparallel_rr_members(graph, roots, edge_probs, key)
 
 
 def _cascade_shard(
-    graph: TagGraph | CSRGraphHandle,
+    graph: TagGraph,
     seed_arr: np.ndarray,
-    edge_probs,
+    edge_probs: np.ndarray,
     count: int,
     target_arr: np.ndarray,
     seed_seq: np.random.SeedSequence,
     mode: str,
-    batch_size: int | None,
 ) -> np.ndarray:
     """One shard of IC cascades; returns per-sample target counts."""
-    graph = resolve_graph(graph)
-    edge_probs = resolve_edge_probs(edge_probs)
     rng = np.random.default_rng(seed_seq)
     if mode == "scalar":
         from repro.diffusion.cascade import simulate_cascade
@@ -186,14 +125,9 @@ def _cascade_shard(
             active = simulate_cascade(graph, seed_arr, edge_probs, rng)
             counts[i] = int(active[target_arr].sum())
         return counts
-    if mode == "bitparallel":
-        key = int(rng.integers(np.iinfo(np.int64).max, dtype=np.int64))
-        return bitparallel_cascade_counts(
-            graph, seed_arr, edge_probs, count, target_arr, key
-        )
-    return batched_cascade_counts(
-        graph, seed_arr, edge_probs, count, target_arr, rng,
-        batch_size=batch_size,
+    key = int(rng.integers(np.iinfo(np.int64).max, dtype=np.int64))
+    return bitparallel_cascade_counts(
+        graph, seed_arr, edge_probs, count, target_arr, key
     )
 
 
@@ -238,90 +172,51 @@ def _split_count_prefix(
 
 
 class SamplingEngine:
-    """Frontier-batched, optionally multi-process sampling driver.
+    """In-process sharded sampling driver.
 
     Parameters
     ----------
     mode:
-        ``"vectorized"`` (frontier-batched numpy kernels, the default),
-        ``"bitparallel"`` (64 possible worlds per uint64 word, the
-        fastest substrate — see :mod:`repro.engine.bitworld`) or
-        ``"scalar"`` (the original Python loops, as oracle).
+        ``"bitparallel"`` (64 possible worlds per uint64 word — see
+        :mod:`repro.engine.bitworld`; the default) or ``"scalar"`` (the
+        original Python loops, as oracle).
     workers:
-        Process count; ``1`` (default) runs in-process. Results are
-        identical for any value — see the module determinism contract.
-        Multi-worker engines in the vectorized and bit-parallel modes
-        publish the graph's CSR structure once through a
-        :class:`~repro.engine.shared_csr.SharedCSR` and ship tiny
-        handles in shard tasks instead of pickling the graph.
+        Must be ``1``; kept so existing ``SamplingEngine(workers=1)``
+        callers run unchanged. Process-level parallelism lives in the
+        sharded campaign service
+        (:class:`repro.serve.ShardedCampaignService`).
     shard_size:
         Samples per shard; ``None`` (default) resolves to
-        :data:`DEFAULT_SHARD_SIZE` (or
+        :data:`DEFAULT_SHARD_SIZE` for the scalar mode and
         :data:`DEFAULT_BITPARALLEL_SHARD_SIZE` for the bit-parallel
-        mode). Part of the determinism contract: changing it changes
+        mode. Part of the determinism contract: changing it changes
         the RNG stream layout, so outputs for a fixed seed are only
         comparable at equal ``shard_size``.
-    batch_size:
-        Samples per frontier batch inside a shard (vectorized mode);
-        ``None`` sizes batches from the node count automatically.
-        Does not affect results, only memory/locality.
-    retry_policy:
-        :class:`~repro.engine.runtime.RetryPolicy` governing shard
-        retries, backoff, pool rebuilds, the hung-shard watchdog and
-        graceful degradation. ``None`` uses the defaults.
-    fault_plan:
-        Optional :class:`~repro.engine.faults.FaultPlan` for
-        deterministic fault injection (tests / chaos drills).
     checkpoint:
         Optional :class:`~repro.engine.checkpoint.CheckpointManager`;
         sampling operations then persist their shard done-prefix and,
         when the manager is in resume mode, splice matching checkpoints
         back in instead of recomputing.
-    parallel_threshold:
-        Sampling operations totalling fewer samples than this run on
-        the in-process path even when ``workers > 1`` (pool dispatch
-        dominates at small sizes). ``0`` disables the fallback. The
-        scalar mode additionally pays a graph-transport surcharge of
-        ``num_edges / TRANSPORT_EDGES_PER_SAMPLE`` samples, because it
-        pickles the graph into every shard task; the shared-memory
-        modes do not. Each fallback is recorded in
-        ``telemetry.parallel_fallbacks``, the aggregate
-        ``engine.parallel_fallbacks`` metric, and a reason-suffixed
-        metric (``engine.parallel_fallbacks.below_threshold`` or
-        ``engine.parallel_fallbacks.transport_cost``). A
-        :class:`~repro.engine.faults.FaultPlan` suppresses the
-        fallback — fault injection exists to exercise the pool paths.
-    spill_dir:
-        Optional directory for the shared-CSR memmap spill: graphs
-        whose CSR arrays exceed
-        :data:`~repro.engine.shared_csr.SPILL_THRESHOLD_BYTES` are
-        published as a memory-mapped file there instead of POSIX shared
-        memory, so graphs larger than RAM can still fan out.
 
-    Failure handling never changes results (retried shards replay their
-    ``SeedSequence`` bit-identically); it only changes whether the run
-    survives. Counters live on :attr:`telemetry`.
+    Counters live on :attr:`telemetry`.
     """
 
     def __init__(
         self,
-        mode: str = "vectorized",
+        mode: str = "bitparallel",
         workers: int = 1,
         shard_size: int | None = None,
-        batch_size: int | None = None,
-        retry_policy: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
         checkpoint: CheckpointManager | None = None,
-        parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
-        spill_dir: str | None = None,
     ) -> None:
         if mode not in MODES:
             raise ConfigurationError(
                 f"unknown engine mode {mode!r}; expected one of {MODES}"
             )
-        if workers < 1:
+        if workers != 1:
             raise ConfigurationError(
-                f"workers must be >= 1, got {workers}"
+                f"SamplingEngine runs in-process (workers must be 1, got "
+                f"{workers}); for multi-process sampling use the shard "
+                f"fleet (repro.serve.ShardedCampaignService)"
             )
         if shard_size is None:
             shard_size = (
@@ -333,168 +228,40 @@ class SamplingEngine:
             raise ConfigurationError(
                 f"shard_size must be >= 1, got {shard_size}"
             )
-        if parallel_threshold < 0:
-            raise ConfigurationError(
-                f"parallel_threshold must be >= 0, got {parallel_threshold}"
-            )
         self.mode = mode
-        self.workers = int(workers)
         self.shard_size = int(shard_size)
-        self.batch_size = batch_size
-        self.spill_dir = spill_dir
-        self.retry_policy = retry_policy
-        self.fault_plan = fault_plan
         self.checkpoint = checkpoint
-        self.parallel_threshold = int(parallel_threshold)
         # Bind runtime counters to the observation active *now*, so an
         # engine built inside an ``obs.observe()`` scope reports its
-        # retries/rebuilds/fallbacks in the global run report.
+        # shard and checkpoint counters in the global run report.
         self.telemetry = RunTelemetry(registry=obs.current_registry())
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
         self._op_counter = 0
-        # Published shared-CSR segments, one per distinct graph object:
-        # id(graph) -> (weakref, SharedCSR). QueryEngineViews delegate
-        # here, so concurrent queries over one graph share one segment.
-        self._shared_graphs: dict[int, tuple] = {}
-        # RLock: the weakref-callback cleanup path can fire from a GC
-        # triggered while this thread already holds the lock.
-        self._shared_lock = threading.RLock()
 
-    # ------------------------------------------------------------------
-    # Pool management
-    # ------------------------------------------------------------------
-    def pool(self) -> ProcessPoolExecutor:
-        """The live worker pool, created on first use (thread-safe)."""
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            return self._pool
+    def for_query(self, registry=None) -> "SamplingEngine":
+        """A fresh engine with this one's knobs and isolated telemetry.
 
-    def rebuild_pool(self) -> ProcessPoolExecutor:
-        """Tear down a (presumed broken) pool and start a fresh one."""
-        self.abort_pool()
-        return self.pool()
-
-    def abort_pool(self) -> None:
-        """Shut the pool down without waiting (cancel what can be)."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
+        The returned engine samples exactly like this one (same mode
+        and shard size) but owns a new
+        :class:`~repro.engine.runtime.RunTelemetry` bound to
+        ``registry`` (default: the observation active on the *calling
+        thread*) and its own operation counter, so concurrent queries
+        keep exact per-query ``runtime.*`` counters. It never
+        checkpoints: per-query checkpoint files would collide across
+        threads.
+        """
+        view = SamplingEngine(mode=self.mode, shard_size=self.shard_size)
+        if registry is not None:
+            view.telemetry = RunTelemetry(registry=registry)
+        return view
 
     def close(self) -> None:
-        """Shut down the worker pool and unlink shared-CSR segments."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
-        self._unlink_shared()
-
-    # ------------------------------------------------------------------
-    # Shared-memory graph transport
-    # ------------------------------------------------------------------
-    def _shared_csr(self, graph: TagGraph) -> SharedCSR:
-        """The (cached) :class:`SharedCSR` publication of ``graph``."""
-        gid = id(graph)
-        with self._shared_lock:
-            entry = self._shared_graphs.get(gid)
-            if entry is not None:
-                ref, shared = entry
-                if ref() is graph:
-                    return shared
-                shared.unlink()  # dead graph whose id was reused
-            shared = SharedCSR(graph, spill_dir=self.spill_dir)
-
-            def _drop(_ref, *, _gid=gid, _self=weakref.ref(self)) -> None:
-                engine = _self()
-                if engine is None:
-                    return  # SharedCSR's own finalizer handles unlink
-                with engine._shared_lock:
-                    stale = engine._shared_graphs.pop(_gid, None)
-                if stale is not None:
-                    stale[1].unlink()
-
-            self._shared_graphs[gid] = (weakref.ref(graph, _drop), shared)
-            return shared
-
-    def _unlink_shared(self) -> None:
-        """Destroy every published shared-CSR segment (idempotent)."""
-        with self._shared_lock:
-            entries = list(self._shared_graphs.values())
-            self._shared_graphs.clear()
-        for _ref, shared in entries:
-            shared.unlink()
-
-    def release_graph(self, graph: TagGraph) -> bool:
-        """Unlink the shared-CSR publication of ``graph``, if any.
-
-        An epoch write path may call this after swapping in a new
-        snapshot, once it can prove no in-flight operation still
-        samples the old graph; otherwise the superseded snapshot's
-        segment lingers until garbage collection runs its weakref
-        cleanup. Callers that cannot prove quiescence (the serve
-        layer, whose queries pin snapshots for their whole lifetime)
-        should simply drop their references and let the weakref path
-        reclaim the segment.
-        Returns whether a segment was found (and unlinked).
-        """
-        with self._shared_lock:
-            entry = self._shared_graphs.pop(id(graph), None)
-        if entry is None:
-            return False
-        entry[1].unlink()
-        return True
-
-    def published_graph_count(self) -> int:
-        """Number of live shared-CSR publications (epoch republish probe)."""
-        with self._shared_lock:
-            return len(self._shared_graphs)
-
-    def _graph_ref(self, graph):
-        """The transport form of ``graph`` for one sampling operation.
-
-        Serial engines and the scalar mode (whose traversals need the
-        full :class:`TagGraph` surface) pass the graph object through;
-        shared-memory-capable pooled modes swap in a picklable
-        :class:`CSRGraphHandle` so workers attach by name instead of
-        unpickling the CSR arrays per task.
-        """
-        if (
-            self.workers == 1
-            or self.mode == "scalar"
-            or isinstance(graph, CSRGraphView)
-        ):
-            return graph
-        return self._shared_csr(graph).handle
-
-    def for_query(self, registry=None) -> "QueryEngineView":
-        """A per-query view of this engine with isolated telemetry.
-
-        The view shares the (expensive, process-backed) worker pool and
-        every sampling knob with its parent, but owns a fresh
-        :class:`~repro.engine.runtime.RunTelemetry` bound to ``registry``
-        (default: the observation active on the *calling thread*) and an
-        independent operation counter. Concurrent queries served off one
-        pooled engine therefore keep exact per-query ``runtime.*``
-        counters — nothing bleeds between queries — while still reusing
-        one set of worker processes. Checkpointing stays with the parent:
-        views never write checkpoints (per-query checkpoint files would
-        collide across threads).
-        """
-        return QueryEngineView(self, registry=registry)
+        """No-op: the engine holds no processes or shared segments."""
 
     def __enter__(self) -> "SamplingEngine":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # Context-manager safety: on an exception the pool may hold
-        # doomed futures — abort rather than wait on them.
-        if exc_type is not None:
-            self.abort_pool()
-            self._unlink_shared()
-        else:
-            self.close()
+        self.close()
 
     def reset_ops(self) -> None:
         """Restart the operation counter (begin a new logical run).
@@ -507,7 +274,7 @@ class SamplingEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SamplingEngine(mode={self.mode!r}, workers={self.workers}, "
+            f"SamplingEngine(mode={self.mode!r}, "
             f"shard_size={self.shard_size}, "
             f"telemetry=[{self.telemetry.summary()}])"
         )
@@ -531,19 +298,6 @@ class SamplingEngine:
             "spawn_cursor": int(getattr(seed_seq, "n_children_spawned", 0)),
         }
 
-    def _transport_penalty(self, graph) -> int:
-        """Extra samples the pool must bring to pay for graph transport.
-
-        The scalar mode pickles ``graph`` into every shard task, so its
-        break-even point shifts up by ``num_edges /``
-        :data:`TRANSPORT_EDGES_PER_SAMPLE`. The vectorized and
-        bit-parallel modes attach to a :class:`SharedCSR` by name —
-        their transport cost is constant and tiny, so no surcharge.
-        """
-        if self.workers > 1 and self.mode == "scalar":
-            return int(graph.num_edges) // TRANSPORT_EDGES_PER_SAMPLE
-        return 0
-
     def _run_op(
         self,
         worker,
@@ -554,7 +308,6 @@ class SamplingEngine:
         split,
         budget: RunBudget | None,
         charge=None,
-        transport_penalty: int = 0,
     ) -> list:
         """Run one checkpointable sampling operation through the runtime.
 
@@ -563,40 +316,10 @@ class SamplingEngine:
         per-shard results for resume splicing. ``charge(shard_result)``
         accounts one newly completed shard against the budget (raising
         :class:`BudgetExceededError` stops the run mid-growth).
-
-        Small runs skip the pool: when the operation totals fewer than
-        ``parallel_threshold + transport_penalty`` samples, dispatch
-        (plus, for pickled-graph modes, transport) overhead exceeds the
-        sampling work, so a multi-worker engine runs it in-process.
-        Identical results either way (determinism contract); only the
-        wall clock and the ``parallel_fallbacks`` counters notice. The
-        fallback *reason* is published as a suffixed counter —
-        ``engine.parallel_fallbacks.below_threshold`` when the run was
-        small outright, ``engine.parallel_fallbacks.transport_cost``
-        when only the graph-shipping surcharge tipped the decision. A
-        fault plan disables the fallback because fault injection
-        explicitly targets the pool recovery paths.
         """
         op_index = self._op_counter
         self._op_counter += 1
         charged_upto = 0
-
-        total = sum(counts)
-        force_serial = (
-            self.workers > 1
-            and self.fault_plan is None
-            and self.parallel_threshold > 0
-            and total < self.parallel_threshold + transport_penalty
-        )
-        if force_serial:
-            reason = (
-                "below_threshold"
-                if total < self.parallel_threshold
-                else "transport_cost"
-            )
-            self.telemetry.parallel_fallbacks += 1
-            obs.count("engine.parallel_fallbacks")
-            obs.count(f"engine.parallel_fallbacks.{reason}")
 
         preloaded: list = []
         if self.checkpoint is not None:
@@ -623,12 +346,10 @@ class SamplingEngine:
                     charged_upto += 1
 
         return execute_shards(
-            self, worker, tasks,
+            worker, tasks, self.telemetry,
             budget=budget,
             on_prefix=on_prefix,
-            preloaded=len(preloaded),
             preloaded_results=preloaded,
-            force_serial=force_serial,
         )
 
     def sample_rr_sets(
@@ -645,8 +366,7 @@ class SamplingEngine:
         ``target_arr`` must be a pre-validated int64 node-id array (see
         :func:`repro.utils.validation.as_target_array`). Returns a flat
         :class:`RRCollection`, deterministic for a fixed master ``rng``
-        regardless of ``workers`` and of any failure/retry schedule.
-        With a ``budget``, raises
+        (including across checkpoint/resume). With a ``budget``, raises
         :class:`~repro.exceptions.BudgetExceededError` whose ``partial``
         is the prefix :class:`RRCollection` collected so far.
         """
@@ -654,15 +374,8 @@ class SamplingEngine:
         signature = self._signature("rr", theta, rng, extra=target_arr.size)
         counts = _shard_counts(theta, self.shard_size)
         streams = spawn_seed_sequences(rng, len(counts))
-        graph_ref = self._graph_ref(graph)
-        probs_ref: object = edge_probs
-        shared_probs = None
-        if isinstance(graph_ref, CSRGraphHandle):
-            shared_probs = SharedProbs(edge_probs, spill_dir=self.spill_dir)
-            probs_ref = shared_probs.handle
         tasks = [
-            (graph_ref, target_arr, probs_ref, count, stream, self.mode,
-             self.batch_size)
+            (graph, target_arr, edge_probs, count, stream, self.mode)
             for count, stream in zip(counts, streams)
         ]
 
@@ -680,7 +393,6 @@ class SamplingEngine:
 
         with obs.span(
             "engine.sample_rr_sets", theta=int(theta), mode=self.mode,
-            workers=self.workers,
         ):
             try:
                 if budget is not None:
@@ -689,7 +401,6 @@ class SamplingEngine:
                     _rr_shard, tasks, counts, signature, pack, split,
                     budget,
                     charge=charge if budget is not None else None,
-                    transport_penalty=self._transport_penalty(graph),
                 )
             except BudgetExceededError as exc:
                 if exc.partial is None or isinstance(exc.partial, list):
@@ -697,12 +408,9 @@ class SamplingEngine:
                         exc.partial or [], graph.num_nodes
                     )
                 raise
-            finally:
-                if shared_probs is not None:
-                    shared_probs.unlink()
             collection = self._collect_rr(shards, graph.num_nodes)
         # Counted from the returned object, at the driver: invariant to
-        # worker count, retries, and checkpoint/resume splicing.
+        # checkpoint/resume splicing.
         obs.count("rr.samples_drawn", len(collection))
         obs.count("rr.members", int(collection.members.size))
         return collection
@@ -720,11 +428,10 @@ class SamplingEngine:
         """Sample only this participant's slice of the ``theta`` shard plan.
 
         The determinism contract of :meth:`sample_rr_sets` makes RR
-        sampling partitionable across *processes*, not just pool
-        workers: the shard plan (``_shard_counts``) and the per-shard
-        seed-sequence spawn tree depend only on ``(theta, shard_size,
-        rng)``, and each shard's samples are a pure function of its
-        seed sequence. This method spawns the **full** stream list —
+        sampling partitionable across *processes*: the shard plan
+        (``_shard_counts``) and the per-shard seed-sequence spawn tree
+        depend only on ``(theta, shard_size, rng)``, and each shard's
+        samples are a pure function of its seed sequence. This method spawns the **full** stream list —
         keeping the spawn tree identical to a monolithic run — then
         materializes only the shards with ``index % part_count ==
         part_index``, round-robin so the ragged tail shard doesn't
@@ -748,7 +455,7 @@ class SamplingEngine:
         shards = [
             _rr_shard(
                 graph, target_arr, edge_probs, counts[i], streams[i],
-                self.mode, self.batch_size,
+                self.mode,
             )
             for i in range(part_index, len(counts), part_count)
         ]
@@ -784,9 +491,8 @@ class SamplingEngine:
     ) -> np.ndarray:
         """Per-cascade activated-target counts for ``num_samples`` runs.
 
-        Deterministic for a fixed master ``rng`` regardless of
-        ``workers`` and of any failure/retry schedule; the Monte-Carlo
-        spread estimate is the mean.
+        Deterministic for a fixed master ``rng`` (including across
+        checkpoint/resume); the Monte-Carlo spread estimate is the mean.
         """
         rng = ensure_rng(rng)
         signature = self._signature(
@@ -794,15 +500,9 @@ class SamplingEngine:
         )
         counts = _shard_counts(num_samples, self.shard_size)
         streams = spawn_seed_sequences(rng, len(counts))
-        graph_ref = self._graph_ref(graph)
-        probs_ref: object = edge_probs
-        shared_probs = None
-        if isinstance(graph_ref, CSRGraphHandle):
-            shared_probs = SharedProbs(edge_probs, spill_dir=self.spill_dir)
-            probs_ref = shared_probs.handle
         tasks = [
-            (graph_ref, seed_arr, probs_ref, count, target_arr, stream,
-             self.mode, self.batch_size)
+            (graph, seed_arr, edge_probs, count, target_arr, stream,
+             self.mode)
             for count, stream in zip(counts, streams)
         ]
 
@@ -814,7 +514,7 @@ class SamplingEngine:
 
         with obs.span(
             "engine.cascade_target_counts", num_samples=int(num_samples),
-            mode=self.mode, workers=self.workers,
+            mode=self.mode,
         ):
             try:
                 if budget is not None:
@@ -822,7 +522,6 @@ class SamplingEngine:
                 shards = self._run_op(
                     _cascade_shard, tasks, counts, signature, pack, split,
                     budget,
-                    transport_penalty=self._transport_penalty(graph),
                 )
             except BudgetExceededError as exc:
                 if exc.partial is None or isinstance(exc.partial, list):
@@ -831,9 +530,6 @@ class SamplingEngine:
                         if exc.partial else np.empty(0, dtype=np.int64)
                     )
                 raise
-            finally:
-                if shared_probs is not None:
-                    shared_probs.unlink()
             if shards:
                 flat = np.concatenate(shards)
             else:
@@ -872,82 +568,3 @@ class SamplingEngine:
         if counts.size == 0:
             return 0.0
         return float(counts.sum()) / counts.size
-
-
-class QueryEngineView(SamplingEngine):
-    """A telemetry-isolated view over a shared :class:`SamplingEngine`.
-
-    Created by :meth:`SamplingEngine.for_query`. The view inherits every
-    sampling knob (mode, workers, shard size, batch size, retry policy,
-    fault plan, parallel threshold, spill dir) and *delegates pool and
-    shared-CSR management to the parent*, so any number of views share
-    one set of worker processes and one published copy of each graph.
-    What it does **not** share:
-
-    * ``telemetry`` — a fresh :class:`RunTelemetry` bound to the
-      registry passed in (or the caller thread's active observation),
-      so ``runtime.*`` counters are exact per query;
-    * the operation counter — each view numbers its own operations;
-    * ``checkpoint`` — always ``None`` (concurrent queries must not
-      interleave writes into one checkpoint directory).
-
-    The determinism contract is unchanged: a view runs the same shards
-    through the same pool, so results are bit-identical to running the
-    parent engine (or a fresh engine with the same knobs) solo.
-    """
-
-    def __init__(self, parent: SamplingEngine, registry=None) -> None:
-        # Deliberately does NOT call SamplingEngine.__init__: knobs are
-        # inherited from the parent, never re-validated or re-defaulted.
-        self._parent = parent
-        self.mode = parent.mode
-        self.workers = parent.workers
-        self.shard_size = parent.shard_size
-        self.batch_size = parent.batch_size
-        self.retry_policy = parent.retry_policy
-        self.fault_plan = parent.fault_plan
-        self.checkpoint = None
-        self.parallel_threshold = parent.parallel_threshold
-        self.spill_dir = parent.spill_dir
-        self.telemetry = RunTelemetry(
-            registry=registry
-            if registry is not None
-            else obs.current_registry()
-        )
-        self._pool = None  # unused; pool access goes through the parent
-        self._pool_lock = parent._pool_lock
-        self._op_counter = 0
-
-    @property
-    def parent(self) -> SamplingEngine:
-        """The engine whose pool this view shares."""
-        return self._parent
-
-    def pool(self) -> ProcessPoolExecutor:
-        return self._parent.pool()
-
-    def rebuild_pool(self) -> ProcessPoolExecutor:
-        return self._parent.rebuild_pool()
-
-    def abort_pool(self) -> None:
-        self._parent.abort_pool()
-
-    def _shared_csr(self, graph: TagGraph) -> SharedCSR:
-        """Shared-CSR segments live with the parent, like the pool."""
-        return self._parent._shared_csr(graph)
-
-    def _unlink_shared(self) -> None:
-        """No-op: the parent owns the shared segments."""
-
-    def close(self) -> None:
-        """No-op: the parent owns (and eventually closes) the pool."""
-
-    def for_query(self, registry=None) -> "QueryEngineView":
-        """Views chain back to the parent, never stack."""
-        return QueryEngineView(self._parent, registry=registry)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"QueryEngineView(mode={self.mode!r}, workers={self.workers}, "
-            f"telemetry=[{self.telemetry.summary()}])"
-        )

@@ -1,37 +1,30 @@
-"""Zero-copy graph transport for the sampling pool.
+"""Zero-copy graph transport for the shard fleet.
 
-Pool fan-out used to pickle the whole :class:`~repro.graphs.tag_graph.TagGraph`
-into every shard task: six int64 CSR arrays plus the per-tag probability
-table, serialized and copied once per shard per attempt. This module
-replaces that with *named* shared storage — the parent publishes the CSR
-structure once, tasks carry a tiny picklable handle, and every worker
-maps the same physical pages read-only:
+The sharded campaign service (:mod:`repro.serve.shard`) runs one
+:class:`~repro.serve.CampaignServer` per worker process over the same
+graph. Instead of pickling a private graph copy into every worker, the
+router publishes the graph once in *named* shared storage and workers
+attach by a tiny picklable handle, mapping the same physical pages
+read-only:
 
-* :class:`SharedCSR` — owns the backing store for one graph's CSR
-  structure (``fwd_indptr``, ``fwd_edges``, ``rev_indptr``,
-  ``rev_edges``, ``src``, ``dst``). Small graphs live in POSIX shared
-  memory (:mod:`multiprocessing.shared_memory`); graphs whose arrays
-  exceed :data:`SPILL_THRESHOLD_BYTES` spill to a ``numpy.memmap`` file
-  when a spill directory is configured, so graphs larger than RAM can
-  still fan out (the kernel pages them on demand).
-* :class:`CSRGraphHandle` — the frozen, picklable address of a
-  :class:`SharedCSR`. ``handle.attach()`` in any process returns a
-  :class:`CSRGraphView`; attachments are cached per process, so a
-  worker maps each graph exactly once no matter how many shards it runs.
-* :class:`CSRGraphView` — a read-only stand-in exposing the slice of
-  the ``TagGraph`` surface the batched kernels consume (``num_nodes``,
-  ``num_edges``, ``src``, ``dst``, ``forward_csr``, ``reverse_csr``).
-* :class:`SharedProbs` — per-operation transport for the aggregated
-  edge-probability vector. Workers *copy* it out on fetch (it is small
-  and operation-scoped), so unlinking after the operation leaves no
-  dangling mappings behind in the pool.
+* :class:`SharedArrayPack` — owns one named backing store holding
+  several numpy arrays. Small packs live in POSIX shared memory
+  (:mod:`multiprocessing.shared_memory`); packs that exceed
+  :data:`SPILL_THRESHOLD_BYTES` spill to a ``numpy.memmap`` file when a
+  spill directory is configured (the kernel pages them on demand).
+  :class:`PackHandle` is its picklable address; attachments are cached
+  per process, so a worker maps each pack exactly once.
+* :class:`SharedTagGraph` — a whole :class:`~repro.graphs.TagGraph`
+  (edge endpoints plus the per-tag probability table) published as one
+  pack; :meth:`TagGraphHandle.attach` rebuilds a ``TagGraph`` whose
+  edge arrays alias the shared pages.
 
-Lifecycle notes. Pool workers share the parent's ``resource_tracker``
+Lifecycle notes. Workers share the creator's ``resource_tracker``
 daemon, so a worker re-attaching to a segment is a no-op registration
 and exactly one unregister happens — in the creator's unlink. Creation
 is tracked in :func:`active_tokens` and every owner carries a
-``weakref.finalize`` guard, so even an engine that is never
-``close()``-d cannot leak ``/dev/shm`` entries (or spill files) past
+``weakref.finalize`` guard, so even an owner that is never unlinked
+explicitly cannot leak ``/dev/shm`` entries (or spill files) past
 garbage collection.
 """
 
@@ -114,7 +107,7 @@ def _attach(
         mm = np.memmap(token, dtype=np.uint8, mode="r")
         return mm, _views(mm, layout)
     # Note: attaching re-registers the name with the resource tracker on
-    # Python < 3.13, but pool workers inherit the *parent's* tracker
+    # Python < 3.13, but fleet workers inherit the *parent's* tracker
     # daemon, whose cache is a set — the re-register is a no-op and the
     # single unregister happens in the creator's unlink. Unregistering
     # here would cancel the creator's registration and desync the
@@ -137,7 +130,7 @@ def _attach_cached(
 
 
 #: Mappings that could not be closed because a caller still holds views
-#: into them (e.g. a CSRGraphView kept past unlink). Held here so their
+#: into them (e.g. a TagGraph kept past unlink). Held here so their
 #: ``__del__`` never runs mid-process and raises an unraisable
 #: BufferError; the OS reclaims the mappings at process exit.
 _ZOMBIE_MAPPINGS: list[object] = []
@@ -176,25 +169,6 @@ class PackHandle:
     def attach(self) -> dict[str, np.ndarray]:
         """Read-only views of the pack's arrays (cached per process)."""
         return _attach_cached(self.backend, self.token, self.layout)
-
-    def fetch_copy(self) -> dict[str, np.ndarray]:
-        """Private copies of the pack's arrays; leaves no mapping behind.
-
-        For short-lived packs (per-operation probability vectors):
-        attach, copy, release. The caller owns plain arrays, so the
-        creator can unlink immediately after the operation without any
-        worker holding a stale mapping.
-        """
-        key = (self.backend, self.token)
-        cached = _ATTACH_CACHE.get(key)
-        if cached is not None:  # creator process: copy straight out
-            return {name: arr.copy() for name, arr in cached[1].items()}
-        resource, views = _attach(self.backend, self.token, self.layout)
-        out = {name: arr.copy() for name, arr in views.items()}
-        views.clear()
-        if hasattr(resource, "close"):
-            resource.close()
-        return out
 
 
 class SharedArrayPack:
@@ -249,7 +223,7 @@ class SharedArrayPack:
         self._resource = resource
         _LIVE_TOKENS.add(token)
         # Creator-side attach-cache entry: in-process handle.attach()
-        # (serial fallback path) reuses these views instead of remapping.
+        # reuses these views instead of remapping.
         _ATTACH_CACHE[(backend, token)] = (
             resource, _views(buf, layout, writeable=False)
         )
@@ -289,161 +263,15 @@ def _unlink_backing(backend: str, token: str) -> None:
     seg.unlink()  # shm_unlink + the one balancing tracker unregister
 
 
-class CSRGraphView:
-    """Read-only graph stand-in over attached CSR arrays.
-
-    Duck-types the slice of :class:`~repro.graphs.tag_graph.TagGraph`
-    that the batched kernels touch: ``num_nodes``, ``num_edges``,
-    ``src``, ``dst``, ``forward_csr()``, ``reverse_csr()`` and the
-    degree helpers. Tag-conditional probability aggregation is *not*
-    here — probability vectors travel separately (:class:`SharedProbs`),
-    already aggregated by the parent.
-    """
-
-    __slots__ = ("_arrays", "_num_nodes", "_num_edges")
-
-    def __init__(
-        self, arrays: dict[str, np.ndarray], num_nodes: int, num_edges: int
-    ) -> None:
-        self._arrays = arrays
-        self._num_nodes = int(num_nodes)
-        self._num_edges = int(num_edges)
-
-    @property
-    def num_nodes(self) -> int:
-        return self._num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return self._num_edges
-
-    @property
-    def src(self) -> np.ndarray:
-        return self._arrays["src"]
-
-    @property
-    def dst(self) -> np.ndarray:
-        return self._arrays["dst"]
-
-    def forward_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._arrays["fwd_indptr"], self._arrays["fwd_edges"]
-
-    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._arrays["rev_indptr"], self._arrays["rev_edges"]
-
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self._arrays["fwd_indptr"])
-
-    def in_degrees(self) -> np.ndarray:
-        return np.diff(self._arrays["rev_indptr"])
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CSRGraphView(num_nodes={self._num_nodes}, "
-            f"num_edges={self._num_edges})"
-        )
-
-
-@dataclass(frozen=True)
-class CSRGraphHandle:
-    """Picklable address of a :class:`SharedCSR` (travels in shard tasks)."""
-
-    pack: PackHandle
-    num_nodes: int
-    num_edges: int
-
-    def attach(self) -> CSRGraphView:
-        """Map (or reuse this process's mapping of) the shared CSR."""
-        return CSRGraphView(self.pack.attach(), self.num_nodes,
-                            self.num_edges)
-
-
-class SharedCSR:
-    """One graph's CSR structure, published for zero-copy pool fan-out."""
-
-    def __init__(self, graph, spill_dir: str | None = None,
-                 spill_threshold: int | None = None) -> None:
-        fwd_indptr, fwd_edges = graph.forward_csr()
-        rev_indptr, rev_edges = graph.reverse_csr()
-        self._pack = SharedArrayPack(
-            {
-                "fwd_indptr": fwd_indptr,
-                "fwd_edges": fwd_edges,
-                "rev_indptr": rev_indptr,
-                "rev_edges": rev_edges,
-                "src": graph.src,
-                "dst": graph.dst,
-            },
-            spill_dir=spill_dir,
-            spill_threshold=spill_threshold,
-        )
-        self.handle = CSRGraphHandle(
-            self._pack.handle, graph.num_nodes, graph.num_edges
-        )
-
-    @property
-    def backend(self) -> str:
-        return self._pack.backend
-
-    @property
-    def nbytes(self) -> int:
-        return self._pack.nbytes
-
-    def unlink(self) -> None:
-        """Destroy the backing store (idempotent)."""
-        self._pack.unlink()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SharedCSR(backend={self.backend!r}, nbytes={self.nbytes}, "
-            f"num_nodes={self.handle.num_nodes}, "
-            f"num_edges={self.handle.num_edges})"
-        )
-
-
-@dataclass(frozen=True)
-class ProbsHandle:
-    """Picklable address of one operation's edge-probability vector."""
-
-    pack: PackHandle
-
-    def fetch(self) -> np.ndarray:
-        """A private (owned) copy of the probability vector."""
-        return self.pack.fetch_copy()["probs"]
-
-
-class SharedProbs:
-    """Operation-scoped shared transport for the aggregated probabilities.
-
-    Created per sampling operation, unlinked in a ``finally`` as soon as
-    the operation returns. Workers fetch *copies* (see
-    :meth:`PackHandle.fetch_copy`), so nothing in the pool outlives the
-    unlink.
-    """
-
-    def __init__(self, edge_probs: np.ndarray,
-                 spill_dir: str | None = None) -> None:
-        self._pack = SharedArrayPack(
-            {"probs": np.asarray(edge_probs, dtype=np.float64)},
-            spill_dir=spill_dir,
-        )
-        self.handle = ProbsHandle(self._pack.handle)
-
-    def unlink(self) -> None:
-        self._pack.unlink()
-
-
 @dataclass(frozen=True)
 class TagGraphHandle:
     """Picklable address of a :class:`SharedTagGraph`.
 
-    Unlike :class:`CSRGraphHandle` (structure only, kernels consume a
-    pre-aggregated probability vector), this handle reconstructs a full
-    :class:`~repro.graphs.tag_graph.TagGraph` — edge endpoints *and* the
-    per-tag conditional probability table — so an attaching process can
-    run tag aggregation, serving, and sketch builds of its own. The
-    shard-service workers attach one of these instead of unpickling a
-    private graph copy apiece.
+    Reconstructs a full :class:`~repro.graphs.tag_graph.TagGraph` —
+    edge endpoints *and* the per-tag conditional probability table — so
+    an attaching process can run tag aggregation, serving, and sketch
+    builds of its own. The shard-service workers attach one of these
+    instead of unpickling a private graph copy apiece.
     """
 
     pack: PackHandle
@@ -475,8 +303,8 @@ class SharedTagGraph:
     The owner (the shard router) packs ``src``/``dst`` plus every tag's
     ``(edge_ids, probs)`` pair into one named segment; each worker
     process attaches by token and rebuilds a :class:`TagGraph` whose
-    edge arrays alias the shared pages. Creator-owned lifecycle, same
-    as :class:`SharedCSR`: workers never unlink, a SIGKILLed worker
+    edge arrays alias the shared pages. Creator-owned lifecycle:
+    workers never unlink, a SIGKILLed worker
     leaks nothing, and the owner's ``unlink()`` (or its
     ``weakref.finalize`` backstop) destroys the one backing store.
     """
@@ -516,17 +344,3 @@ class SharedTagGraph:
             f"nbytes={self.nbytes}, num_nodes={self.handle.num_nodes}, "
             f"num_tags={len(self.handle.tags)})"
         )
-
-
-def resolve_graph(graph_ref):
-    """A usable graph from a task argument: pass-through or attach."""
-    if isinstance(graph_ref, CSRGraphHandle):
-        return graph_ref.attach()
-    return graph_ref
-
-
-def resolve_edge_probs(probs_ref) -> np.ndarray:
-    """A usable probability vector from a task argument."""
-    if isinstance(probs_ref, ProbsHandle):
-        return probs_ref.fetch()
-    return probs_ref

@@ -65,27 +65,6 @@ class BudgetExceededError(ReproError):
         self.partial = partial
 
 
-class ShardFailedError(ReproError):
-    """Raised when a sampling shard fails permanently.
-
-    Emitted by the fault-tolerant runtime after the
-    :class:`~repro.engine.RetryPolicy` is exhausted (or immediately for
-    errors classified permanent). Carries the shard index, the number of
-    attempts made, and the last underlying exception.
-    """
-
-    def __init__(
-        self, shard_index: int, attempts: int, last_error: BaseException
-    ) -> None:
-        super().__init__(
-            f"shard {shard_index} failed permanently after {attempts} "
-            f"attempt(s): {last_error!r}"
-        )
-        self.shard_index = shard_index
-        self.attempts = attempts
-        self.last_error = last_error
-
-
 class QueryRejectedError(ReproError):
     """Base class for *clean* admission-control rejections.
 

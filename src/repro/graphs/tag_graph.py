@@ -121,7 +121,7 @@ class TagGraph:
         self._prob_cache_evictions = 0
 
     # ------------------------------------------------------------------
-    # Pickling (process-pool fan-out ships graphs to workers)
+    # Pickling (graphs travel to fleet workers and through caches)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         """Drop the (unpicklable) memo lock and its cache for transport.

@@ -19,33 +19,73 @@ serving a *distributed* query (a shard worker executing under a router
 ``TraceContext``): it names the router-side span the report's trace
 roots graft under in the stitched fleet trace.
 
-``phases`` is derived from the trace: the top-level spans, flattened
-into a table with their share of the total traced time — the "where
-did the run go" summary the paper's runtime figures are built from.
+``phases`` is derived from the trace: every span name in the tree, in
+first-seen (depth-first) order, with its summed *self* time — a span's
+duration minus the part of its interval its children cover — and that
+time's share of the roots' total. Self times of sequential spans
+partition the traced time (rows add up to 100%; overlapping sibling
+spans can push the sum above it), so a joint query's table shows the
+path search, traversal and MC layers instead of one ``joint`` row —
+the "where did the run go" summary the paper's runtime figures are
+built from.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 __all__ = ["SCHEMA", "build_report", "render_report"]
 
 SCHEMA = "repro.obs.report/1"
 
 
+def _covered(intervals, lo: float, hi: float) -> float:
+    """Length of the union of ``(start, end)`` intervals in ``[lo, hi]``."""
+    total = 0.0
+    cur_lo = cur_hi = None
+    for a, b in sorted((max(a, lo), min(b, hi)) for a, b in intervals):
+        if b <= a:
+            continue
+        if cur_hi is None or a > cur_hi:
+            if cur_hi is not None:
+                total += cur_hi - cur_lo
+            cur_lo, cur_hi = a, b
+        else:
+            cur_hi = max(cur_hi, b)
+    if cur_hi is not None:
+        total += cur_hi - cur_lo
+    return total
+
+
+def _interval(span: Dict[str, Any]) -> Tuple[float, float]:
+    start = span.get("start_seconds") or 0.0
+    return start, start + (span.get("duration_seconds") or 0.0)
+
+
 def _phase_table(trace_dicts: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Self seconds per span name over the whole tree, first-seen order."""
+    selfs: Dict[str, float] = {}
+
+    def walk(span: Dict[str, Any]) -> None:
+        lo, hi = _interval(span)
+        children = span.get("children") or []
+        covered = _covered(map(_interval, children), lo, hi)
+        name = span["name"]
+        selfs[name] = selfs.get(name, 0.0) + max(hi - lo - covered, 0.0)
+        for child in children:
+            walk(child)
+
+    for root in trace_dicts:
+        walk(root)
     total = sum(d.get("duration_seconds") or 0.0 for d in trace_dicts)
-    phases = []
-    for d in trace_dicts:
-        seconds = d.get("duration_seconds") or 0.0
-        phases.append(
-            {
-                "name": d["name"],
-                "seconds": seconds,
-                "percent": (100.0 * seconds / total) if total > 0 else 0.0,
-            }
-        )
-    return phases
+    return [
+        {
+            "name": name,
+            "seconds": seconds,
+            "percent": (100.0 * seconds / total) if total > 0 else 0.0,
+        }
+        for name, seconds in selfs.items()
+    ]
 
 
 def build_report(observation) -> Dict[str, Any]:

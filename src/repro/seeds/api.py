@@ -44,9 +44,8 @@ class SeedSelection:
     elapsed_seconds:
         Wall-clock time of the selection (online part for index engines).
     telemetry:
-        Runtime failure counters (shards retried, pool rebuilds, ...)
-        when a fault-tolerant sampler ran the engine; ``None`` on the
-        scalar path.
+        Runtime counters (shards run, checkpoint writes/loads) when a
+        sampling engine ran the selection; ``None`` on the scalar path.
     report:
         Observability report (metrics + trace + phases) when the call
         ran inside an :func:`repro.obs.observe` scope; ``None``

@@ -48,7 +48,7 @@ class GreedyMCResult:
     elapsed_seconds:
         Wall-clock selection time.
     telemetry:
-        Runtime failure counters when an engine ran the simulation;
+        Runtime counters when an engine ran the simulation;
         ``None`` on the scalar path.
     report:
         Observability report (metrics + trace + phases) when the call

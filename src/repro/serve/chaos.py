@@ -1,12 +1,13 @@
 """Deterministic serve-layer fault injection (``repro.serve.chaos``).
 
-The engine already has a fault harness (:class:`repro.engine.FaultPlan`)
-keyed by ``(shard, attempt)`` — it exercises the *sampling* runtime.
-This module is its serving-layer sibling: a seeded
-:class:`ServeFaultPlan` that injects failures at the server's own
-seams — admission, dequeue, and asset builds — so every shedding,
-breaker, cancellation, and retry path can be driven deterministically
-and replayed bit-identically from the same seed.
+This module is the repository's one fault-injection harness: a seeded
+:class:`ServeFaultPlan` that injects failures at the server's seams —
+admission, dequeue, and asset builds — so every shedding, breaker,
+cancellation, and retry path can be driven deterministically and
+replayed bit-identically from the same seed. Process death is
+exercised for real instead: the fleet chaos tests SIGKILL shard
+workers, and the CLI's kill-and-resume smoke SIGTERMs a checkpointed
+run.
 
 Decision model
 --------------
@@ -22,15 +23,8 @@ decisions. Sites that are serialized under the server's admission lock
 by asset kind so concurrent builds of different kinds cannot perturb
 each other's sequences.
 
-Composability: a :class:`ServeFaultPlan` optionally carries an engine
-``FaultPlan`` (:attr:`engine_plan`); the server installs it on its
-sampling engine so one chaos run can exercise worker death mid-shard
-*and* serve-layer shedding in the same deterministic scenario.
-
 All injected exceptions are :class:`InjectedChaosError`, a
-:class:`~repro.exceptions.ReproError` subclass — unlike the engine's
-``InjectedFault`` (a bare ``RuntimeError``, deliberately, so retry
-classification treats it as a real crash), serve-layer chaos must be
+:class:`~repro.exceptions.ReproError` subclass, so injected chaos is
 catchable by the protocol loop like any other library error.
 """
 
@@ -103,10 +97,6 @@ class ServeFaultPlan:
         admission (positive = clock running fast: deadlines look
         tighter than the client intended). Exercises predictive
         rejection and queue-expiry paths without real waiting.
-    engine_plan:
-        Optional :class:`repro.engine.FaultPlan` the server installs on
-        its sampling engine, composing worker-level faults (kill, hang,
-        poison) with serve-level ones under a single scenario.
     """
 
     seed: int = 0
@@ -116,7 +106,6 @@ class ServeFaultPlan:
     build_slow_seconds: float = 0.05
     build_error_rate: float = 0.0
     deadline_skew_s: float = 0.0
-    engine_plan: object = None
     _counters: Dict[str, int] = field(
         default_factory=dict, repr=False, compare=False
     )

@@ -29,10 +29,11 @@ batch library into a multi-query service:
   (:class:`~repro.serve.cache.AssetCache`).
 * Every query runs inside its **own observability scope** (thread-local
   — see :mod:`repro.obs`), so ``rr.*`` / ``runtime.*`` counters are
-  per-query exact even when one pooled
+  per-query exact even when one
   :class:`~repro.engine.SamplingEngine` backs all queries (each query
-  samples through a telemetry-isolated
-  :class:`~repro.engine.QueryEngineView`).
+  samples through its own engine from
+  :meth:`~repro.engine.SamplingEngine.for_query`, with isolated
+  telemetry).
 
 Determinism contract
 --------------------
@@ -263,11 +264,10 @@ class CampaignServer:
         Shared :class:`~repro.core.joint.JointConfig`; supplies the
         default seed engine, sketch knobs, and tag-selection knobs.
     sampler:
-        Optional pooled :class:`~repro.engine.SamplingEngine` shared by
-        all queries. Each query samples through
-        ``sampler.for_query(...)`` — a view with per-query telemetry —
-        so one set of worker processes serves every query without
-        counter bleed.
+        Optional :class:`~repro.engine.SamplingEngine` whose mode and
+        shard size every query samples with. Each query samples through
+        ``sampler.for_query(...)`` — a fresh engine with per-query
+        telemetry — so concurrent queries never bleed counters.
     pool_size:
         Worker threads executing queries.
     queue_capacity:
@@ -295,10 +295,7 @@ class CampaignServer:
         circuit-breaker knobs. Defaults apply when omitted.
     chaos:
         Optional :class:`~repro.serve.chaos.ServeFaultPlan` injecting
-        deterministic faults at admission/dequeue/build boundaries;
-        its ``engine_plan`` (if any) is installed on ``sampler`` so one
-        seeded scenario exercises worker-level and serve-level faults
-        together.
+        deterministic faults at admission/dequeue/build boundaries.
     mutable:
         When true (or when ``graph`` already is a
         :class:`~repro.graphs.MutableTagGraph`), the server serves
@@ -379,12 +376,6 @@ class CampaignServer:
 
         self._qos = qos if qos is not None else QosConfig()
         self._chaos = chaos
-        if (
-            chaos is not None
-            and chaos.engine_plan is not None
-            and sampler is not None
-        ):
-            sampler.fault_plan = chaos.engine_plan
 
         self._metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
@@ -774,9 +765,7 @@ class CampaignServer:
         server:
 
         1. materializes the new epoch's snapshot (old-epoch snapshots
-           stay alive exactly as long as in-flight queries pin them —
-           the pooled sampler's shared-memory CSR for a dead snapshot
-           is reclaimed through its weakref finalizer);
+           stay alive exactly as long as in-flight queries pin them);
         2. migrates resident cache assets: repairable sketches whose
            touch trace missed every dirty edge are *promoted* (rekeyed
            to the new epoch, payload untouched), dirty ones are
@@ -1389,7 +1378,7 @@ class CampaignServer:
         )
 
     def _view(self, registry=None):
-        """A telemetry-isolated engine view, or None (scalar path)."""
+        """A telemetry-isolated per-query engine, or None (scalar path)."""
         if self._sampler is None:
             return None
         return self._sampler.for_query(registry=registry)

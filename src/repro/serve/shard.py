@@ -129,9 +129,9 @@ class WorkerSpec:
     Must stay picklable under the ``spawn`` start method — chaos is
     carried as :class:`~repro.serve.chaos.ServeFaultPlan` constructor
     kwargs (the plan itself holds a lock), and the engine as a mode
-    string (each worker builds its own single-process
-    :class:`~repro.engine.SamplingEngine`; intra-query parallelism
-    comes from the fleet, not nested pools).
+    string (each worker builds its own in-process
+    :class:`~repro.engine.SamplingEngine`; process parallelism is the
+    fleet itself).
     """
 
     config: Any = None  # JointConfig | None

@@ -64,7 +64,7 @@ class IMMResult:
     elapsed_seconds:
         Total selection time.
     telemetry:
-        Runtime failure counters when an engine ran the sampling;
+        Runtime counters when an engine ran the sampling;
         ``None`` on the scalar path.
     report:
         Observability report (metrics + trace + phases) when the call

@@ -17,7 +17,7 @@ the same seed. Two properties make this possible:
     reachability through ``dst(e)``, which requires ``dst(e)`` to have
     been reachable already.
 
-2.  **Per-set random streams.** The pooled engine's scalar shards feed
+2.  **Per-set random streams.** The engine's scalar shards feed
     one sequential generator through all of a shard's samples, so
     resampling set ``i`` alone would shift every later set's coins. The
     repairable builder instead derives one child ``SeedSequence`` per

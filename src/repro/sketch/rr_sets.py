@@ -184,7 +184,7 @@ def sample_rr_sets_validated(
             for root in roots
         ]
         # Same counter names as the engine driver: the scalar oracle
-        # and the vectorized paths must report identical logical work.
+        # and the engine paths must report identical logical work.
         obs.count("rr.samples_drawn", len(sets))
         obs.count("rr.members", sum(s.size for s in sets))
         return sets

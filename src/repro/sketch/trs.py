@@ -57,9 +57,8 @@ class TRSResult:
     elapsed_seconds:
         Wall-clock time of the whole selection.
     telemetry:
-        Runtime failure counters (shards retried, pool rebuilds, ...)
-        when an engine with a fault-tolerant runtime ran the sampling;
-        ``None`` on the scalar path.
+        Runtime counters (shards run, checkpoint writes/loads) when an
+        engine ran the sampling; ``None`` on the scalar path.
     report:
         Structured observability report (metrics + trace + phases, see
         ``docs/observability.md``) when the call ran inside an

@@ -98,3 +98,38 @@ def small_yelp():
 def small_lastfm():
     """Session-scoped small lastFM analogue."""
     return lastfm(scale=0.5, seed=7)
+
+
+@pytest.fixture
+def interrupt_after_shards(monkeypatch):
+    """Arm the engine to raise ``KeyboardInterrupt`` after ``n`` shards.
+
+    ``interrupt_after_shards(n)`` wraps the engine's RR and cascade
+    shard workers: the first ``n`` shard executions (counted across
+    operations, preloaded checkpoint shards excluded) run normally, the
+    next one raises ``KeyboardInterrupt`` — an interrupt at an exact,
+    reproducible shard boundary, as a SIGINT between shards would be.
+    Returns the mutable ``{"done": count}`` state.
+    """
+    from repro.engine import parallel
+
+    def arm(n: int) -> dict:
+        state = {"done": 0}
+
+        def wrap(shard_fn):
+            def shard(*args):
+                if state["done"] >= n:
+                    raise KeyboardInterrupt(
+                        f"interrupt after {state['done']} shards"
+                    )
+                result = shard_fn(*args)
+                state["done"] += 1
+                return result
+
+            return shard
+
+        for name in ("_rr_shard", "_cascade_shard"):
+            monkeypatch.setattr(parallel, name, wrap(getattr(parallel, name)))
+        return state
+
+    return arm

@@ -1,31 +1,26 @@
-"""Bit-parallel world kernels + shared-memory CSR transport tests.
+"""Bit-parallel world kernels + shared-memory graph transport tests.
 
-The bit-parallel engine mode is held to a harder standard than the
-vectorized one: it is not merely *distributionally* equivalent to the
-scalar oracle, it is **replayable** — every world (block, lane) defines
-an edge mask via :func:`repro.engine.bitworld.world_edge_mask`, and the
-scalar fixed-world traversals run on that mask must reproduce each
-sample's RR set / cascade count exactly. The tests here assert that
-bit-identity, the popcount size accounting, ragged world tails, block-
-batching invariance, worker-count invariance of the engine integration
-(property-style), and the full lifecycle of the shared-memory /
-memmap-spilled CSR transport.
+The bit-parallel engine mode is not merely *distributionally*
+equivalent to the scalar oracle, it is **replayable** — every world
+(block, lane) defines an edge mask via
+:func:`repro.engine.bitworld.world_edge_mask`, and the scalar
+fixed-world traversals run on that mask must reproduce each sample's
+RR set / cascade count exactly. The tests here assert that
+bit-identity, the popcount size accounting, ragged world tails,
+block-batching invariance, and the lifecycle of the shared-memory /
+memmap-spilled array packs the shard fleet publishes graphs through.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro import obs
 from repro.engine import (
     DEFAULT_BITPARALLEL_SHARD_SIZE,
     DEFAULT_SHARD_SIZE,
     SamplingEngine,
-    SharedCSR,
-    SharedProbs,
+    SharedTagGraph,
     bitparallel_cascade_counts,
     bitparallel_rr_members,
 )
@@ -165,143 +160,42 @@ def test_block_batching_is_invisible(small_yelp, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Engine integration: worker-count invariance (property-style)
+# Engine integration
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def bit_engines():
-    """Serial and pooled bit-parallel engines sharing one process pool.
-
-    ``parallel_threshold=0`` on the pooled engine disables the small-run
-    fallback so the shared-memory fan-out path genuinely runs.
-    """
-    serial = SamplingEngine(mode="bitparallel", workers=1, shard_size=64)
-    pooled = SamplingEngine(
-        mode="bitparallel", workers=2, shard_size=64, parallel_threshold=0
-    )
-    yield serial, pooled
-    serial.close()
-    pooled.close()
-
-
-@settings(max_examples=5, deadline=None)
-@given(
-    master=st.integers(min_value=0, max_value=2**31 - 1),
-    theta=st.integers(min_value=1, max_value=200),
-)
-def test_bitparallel_identical_across_workers(
-    small_yelp, bit_engines, master, theta
-):
-    graph = small_yelp.graph
-    serial, pooled = bit_engines
-    target_arr = np.arange(25, dtype=np.int64)
-    edge_probs = graph.edge_probabilities(list(graph.tags[:2]))
-    a = serial.sample_rr_sets(
-        graph, target_arr, edge_probs, theta,
-        rng=np.random.default_rng(np.random.SeedSequence(master)),
-    )
-    b = pooled.sample_rr_sets(
-        graph, target_arr, edge_probs, theta,
-        rng=np.random.default_rng(np.random.SeedSequence(master)),
-    )
-    assert a.members.tobytes() == b.members.tobytes()
-    assert a.indptr.tobytes() == b.indptr.tobytes()
-
-
-def test_bitparallel_cascades_identical_across_workers(
-    small_yelp, bit_engines
-):
-    graph = small_yelp.graph
-    serial, pooled = bit_engines
-    seed_arr = np.array([0, 7, 19], dtype=np.int64)
-    target_arr = np.arange(30, dtype=np.int64)
-    edge_probs = graph.edge_probabilities(list(graph.tags[:3]))
-    a = serial.cascade_target_counts(
-        graph, seed_arr, edge_probs, 150, target_arr, rng=123
-    )
-    b = pooled.cascade_target_counts(
-        graph, seed_arr, edge_probs, 150, target_arr, rng=123
-    )
-    np.testing.assert_array_equal(a, b)
 
 
 def test_bitparallel_default_shard_size():
     engine = SamplingEngine(mode="bitparallel")
     assert engine.shard_size == DEFAULT_BITPARALLEL_SHARD_SIZE
-    assert SamplingEngine(mode="vectorized").shard_size == DEFAULT_SHARD_SIZE
+    assert SamplingEngine().shard_size == DEFAULT_BITPARALLEL_SHARD_SIZE
+    assert SamplingEngine(mode="scalar").shard_size == DEFAULT_SHARD_SIZE
 
 
 # ---------------------------------------------------------------------------
-# Transport-aware parallel fallback (reason counters)
-# ---------------------------------------------------------------------------
-
-
-def _fallback_counters():
-    reg = obs.current_registry()
-    return (
-        reg.value("engine.parallel_fallbacks.below_threshold", 0),
-        reg.value("engine.parallel_fallbacks.transport_cost", 0),
-    )
-
-
-def test_scalar_fallback_reports_transport_cost(small_yelp):
-    """A run above the base threshold but inside the pickle surcharge
-    falls back with reason ``transport_cost``."""
-    graph = small_yelp.graph
-    penalty = graph.num_edges // 200
-    assert penalty > 0, "fixture graph too small to exercise the surcharge"
-    target_arr = np.arange(20, dtype=np.int64)
-    edge_probs = graph.edge_probabilities(list(graph.tags[:2]))
-    with obs.observe():
-        engine = SamplingEngine(
-            mode="scalar", workers=2, parallel_threshold=100, shard_size=32
-        )
-        engine.sample_rr_sets(graph, target_arr, edge_probs, 100 + penalty // 2 + 1, rng=0)
-        below, transport = _fallback_counters()
-        assert engine.telemetry.parallel_fallbacks == 1
-        engine.close()
-    assert (below, transport) == (0, 1)
-
-
-def test_small_run_fallback_reports_below_threshold(small_yelp):
-    graph = small_yelp.graph
-    target_arr = np.arange(20, dtype=np.int64)
-    edge_probs = graph.edge_probabilities(list(graph.tags[:2]))
-    with obs.observe():
-        engine = SamplingEngine(
-            mode="bitparallel", workers=2, parallel_threshold=4096,
-            shard_size=64,
-        )
-        engine.sample_rr_sets(graph, target_arr, edge_probs, 50, rng=0)
-        below, transport = _fallback_counters()
-        assert engine.telemetry.parallel_fallbacks == 1
-        engine.close()
-    # Shared-memory modes carry no transport surcharge at all.
-    assert (below, transport) == (1, 0)
-
-
-# ---------------------------------------------------------------------------
-# SharedCSR / SharedProbs lifecycle
+# Shared array pack / SharedTagGraph lifecycle
 # ---------------------------------------------------------------------------
 
 
 def test_shared_csr_roundtrip_and_unlink(small_yelp):
     graph = small_yelp.graph
     before = shared_csr.active_tokens()
-    shared = SharedCSR(graph)
+    shared = SharedTagGraph(graph)
     assert shared.backend == "shm"
     view = shared.handle.attach()
     assert view.num_nodes == graph.num_nodes
     assert view.num_edges == graph.num_edges
+    assert view.tags == graph.tags
     np.testing.assert_array_equal(view.src, graph.src)
     np.testing.assert_array_equal(view.dst, graph.dst)
     for mine, theirs in zip(view.reverse_csr(), graph.reverse_csr()):
         np.testing.assert_array_equal(mine, theirs)
-    for mine, theirs in zip(view.forward_csr(), graph.forward_csr()):
-        np.testing.assert_array_equal(mine, theirs)
+    tags = list(graph.tags[:3])
+    np.testing.assert_array_equal(
+        view.edge_probabilities(tags), graph.edge_probabilities(tags)
+    )
     with pytest.raises(ValueError):
-        view.src[0] = 1  # views are read-only
+        view.src[0] = 1  # shared edge arrays are read-only
+    del view
     shared.unlink()
     shared.unlink()  # idempotent
     assert shared_csr.active_tokens() == before
@@ -310,25 +204,14 @@ def test_shared_csr_roundtrip_and_unlink(small_yelp):
 def test_shared_csr_handle_is_small(small_yelp):
     import pickle
 
-    shared = SharedCSR(small_yelp.graph)
+    shared = SharedTagGraph(small_yelp.graph)
     try:
         blob = pickle.dumps(shared.handle)
-        # The whole point: the handle's size is independent of the graph.
-        assert len(blob) < 2048
+        # The whole point: the handle's size is independent of the
+        # edge count (it carries the layout and tag names only).
+        assert len(blob) < 8192
     finally:
         shared.unlink()
-
-
-def test_shared_probs_fetch_is_private_copy(small_yelp):
-    graph = small_yelp.graph
-    edge_probs = graph.edge_probabilities(list(graph.tags[:2]))
-    shared = SharedProbs(edge_probs)
-    fetched = shared.handle.fetch()
-    np.testing.assert_array_equal(fetched, edge_probs)
-    shared.unlink()
-    # An owned copy stays valid after the backing store is gone.
-    np.testing.assert_array_equal(fetched, edge_probs)
-    assert fetched.flags.owndata or fetched.base is None
 
 
 def test_memmap_spill_roundtrip(tmp_path):
@@ -344,43 +227,10 @@ def test_memmap_spill_roundtrip(tmp_path):
     views = pack.handle.attach()
     np.testing.assert_array_equal(views["a"], arrays["a"])
     np.testing.assert_array_equal(views["b"], arrays["b"])
-    copies = pack.handle.fetch_copy()
-    np.testing.assert_array_equal(copies["a"], arrays["a"])
+    del views
     shared_csr._evict("mmap", token)
     pack.unlink()
     assert token not in shared_csr.active_tokens()
     import os
 
     assert not os.path.exists(token)
-
-
-def test_engine_close_unlinks_shared_segments(small_yelp):
-    graph = small_yelp.graph
-    target_arr = np.arange(20, dtype=np.int64)
-    edge_probs = graph.edge_probabilities(list(graph.tags[:2]))
-    before = shared_csr.active_tokens()
-    engine = SamplingEngine(
-        mode="bitparallel", workers=2, shard_size=64, parallel_threshold=0
-    )
-    engine.sample_rr_sets(graph, target_arr, edge_probs, 130, rng=5)
-    assert len(shared_csr.active_tokens()) > len(before)
-    engine.close()
-    assert shared_csr.active_tokens() == before
-
-
-def test_query_views_share_one_segment(small_yelp):
-    graph = small_yelp.graph
-    target_arr = np.arange(20, dtype=np.int64)
-    edge_probs = graph.edge_probabilities(list(graph.tags[:2]))
-    engine = SamplingEngine(
-        mode="bitparallel", workers=2, shard_size=64, parallel_threshold=0
-    )
-    try:
-        a = engine.for_query()
-        b = engine.for_query()
-        a.sample_rr_sets(graph, target_arr, edge_probs, 130, rng=1)
-        b.sample_rr_sets(graph, target_arr, edge_probs, 130, rng=2)
-        assert len(engine._shared_graphs) == 1
-    finally:
-        engine.close()
-    assert not engine._shared_graphs

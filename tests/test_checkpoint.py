@@ -3,9 +3,11 @@
 The checkpoint layer's contract is *deterministic replay with a memo
 cache* (see ``repro/engine/checkpoint.py``): a resumed run replays the
 same operation sequence and splices in checkpointed shard prefixes.
-These tests interrupt runs at exact shard boundaries with the fault
-harness, then assert the resumed output is bit-identical to an
-uninterrupted run — the strongest statement the resume model makes.
+These tests interrupt runs at exact shard boundaries (the
+``interrupt_after_shards`` fixture makes the shard worker raise
+``KeyboardInterrupt``), then assert the resumed output is bit-identical
+to an uninterrupted run — the strongest statement the resume model
+makes.
 """
 
 from __future__ import annotations
@@ -16,20 +18,13 @@ import pytest
 from repro import JointConfig, SketchConfig, TagSelectionConfig
 from repro.core import CampaignSession
 from repro.datasets import community_targets
-from repro.engine import (
-    CheckpointManager,
-    FaultPlan,
-    RetryPolicy,
-    SamplingEngine,
-)
+from repro.engine import CheckpointManager, SamplingEngine
 from repro.engine.rr_storage import RRCollection
 from repro.exceptions import ConfigurationError
 from repro.sketch.trs import trs_select_seeds
 from repro.utils.validation import as_target_array
 
-FAST = RetryPolicy(backoff_base=0.001, backoff_max=0.005, jitter=0.0)
-
-SIG = {"kind": "rr", "theta": 64, "mode": "vectorized"}
+SIG = {"kind": "rr", "theta": 64, "mode": "bitparallel"}
 
 
 def _arrays(n=5, seed=0):
@@ -129,20 +124,21 @@ def _rr(engine, query, theta=64, seed=11):
     )
 
 
-def test_engine_kill_and_resume_is_bit_identical(tmp_path, query):
+def test_engine_kill_and_resume_is_bit_identical(
+    tmp_path, query, interrupt_after_shards, monkeypatch
+):
     with SamplingEngine(shard_size=8) as engine:
         clean = _rr(engine, query)
 
-    plan = FaultPlan().interrupt_after_shards(3)
+    interrupt_after_shards(3)
     first = CheckpointManager(tmp_path, resume=False, every=1)
-    with SamplingEngine(
-        shard_size=8, fault_plan=plan, checkpoint=first
-    ) as engine:
+    with SamplingEngine(shard_size=8, checkpoint=first) as engine:
         with pytest.raises(KeyboardInterrupt):
             _rr(engine, query)
         assert engine.telemetry.checkpoint_writes >= 1
     assert list(tmp_path.glob("op*.npz"))  # interrupt force-flushed
 
+    monkeypatch.undo()
     second = CheckpointManager(tmp_path, resume=True, every=1)
     with SamplingEngine(shard_size=8, checkpoint=second) as engine:
         resumed = _rr(engine, query)
@@ -167,26 +163,40 @@ def test_completed_op_loads_whole(tmp_path, query):
     np.testing.assert_array_equal(clean.members, resumed.members)
 
 
-def test_resume_with_faults_still_matches(tmp_path, query):
-    """Resume + retries compose: remaining shards may fail and retry."""
+def test_resume_with_faults_still_matches(
+    tmp_path, query, interrupt_after_shards, monkeypatch
+):
+    """Resumes compose: a resumed run interrupted again resumes again."""
     with SamplingEngine(shard_size=8) as engine:
         clean = _rr(engine, query)
 
-    plan = FaultPlan().interrupt_after_shards(2)
+    interrupt_after_shards(2)
     with SamplingEngine(
-        shard_size=8, fault_plan=plan,
+        shard_size=8,
         checkpoint=CheckpointManager(tmp_path, resume=False, every=1),
     ) as engine:
         with pytest.raises(KeyboardInterrupt):
             _rr(engine, query)
+    monkeypatch.undo()
 
-    retry_plan = FaultPlan().fail_shard(5)
+    interrupt_after_shards(3)
     with SamplingEngine(
-        shard_size=8, retry_policy=FAST, fault_plan=retry_plan,
+        shard_size=8,
+        checkpoint=CheckpointManager(tmp_path, resume=True, every=1),
+    ) as engine:
+        with pytest.raises(KeyboardInterrupt):
+            _rr(engine, query)
+        assert engine.telemetry.checkpoint_loads == 1
+        assert engine.telemetry.shards_run == 3
+    monkeypatch.undo()
+
+    with SamplingEngine(
+        shard_size=8,
         checkpoint=CheckpointManager(tmp_path, resume=True, every=1),
     ) as engine:
         resumed = _rr(engine, query)
-        assert engine.telemetry.shards_retried >= 1
+        # 2 + 3 shards were checkpointed; only the rest are sampled.
+        assert engine.telemetry.shards_run == 8 - 5
     np.testing.assert_array_equal(clean.members, resumed.members)
     np.testing.assert_array_equal(clean.indptr, resumed.indptr)
 
@@ -196,7 +206,9 @@ def test_resume_with_faults_still_matches(tmp_path, query):
 # ---------------------------------------------------------------------------
 
 
-def test_trs_pipeline_kill_and_resume(tmp_path, small_yelp):
+def test_trs_pipeline_kill_and_resume(
+    tmp_path, small_yelp, interrupt_after_shards, monkeypatch
+):
     graph = small_yelp.graph
     tags = list(graph.tags[:3])
     targets = list(range(20))
@@ -207,15 +219,16 @@ def test_trs_pipeline_kill_and_resume(tmp_path, small_yelp):
             graph, targets, tags, 3, config=config, rng=5, engine=engine
         )
 
-    plan = FaultPlan().interrupt_after_shards(4)
+    interrupt_after_shards(4)
     with SamplingEngine(
-        shard_size=16, fault_plan=plan,
+        shard_size=16,
         checkpoint=CheckpointManager(tmp_path, resume=False, every=1),
     ) as engine:
         with pytest.raises(KeyboardInterrupt):
             trs_select_seeds(
                 graph, targets, tags, 3, config=config, rng=5, engine=engine
             )
+    monkeypatch.undo()
 
     with SamplingEngine(
         shard_size=16,
@@ -240,7 +253,9 @@ JOINT_CFG = JointConfig(
 )
 
 
-def test_session_joint_kill_and_resume(tmp_path, small_yelp):
+def test_session_joint_kill_and_resume(
+    tmp_path, small_yelp, interrupt_after_shards, monkeypatch
+):
     graph = small_yelp.graph
     targets = community_targets(small_yelp, "vegas", size=15, rng=0)
 
@@ -248,15 +263,16 @@ def test_session_joint_kill_and_resume(tmp_path, small_yelp):
         session = CampaignSession(graph, JOINT_CFG, rng=7, sampler=sampler)
         clean = session.joint(targets, k=2, r=3)
 
-    plan = FaultPlan().interrupt_after_shards(5)
+    interrupt_after_shards(5)
     with SamplingEngine(
-        shard_size=16, fault_plan=plan,
+        shard_size=16,
         checkpoint=CheckpointManager(tmp_path, resume=False, every=1),
     ) as sampler:
         session = CampaignSession(graph, JOINT_CFG, rng=7, sampler=sampler)
         with pytest.raises(KeyboardInterrupt):
             session.joint(targets, k=2, r=3)
     assert list(tmp_path.glob("op*.npz"))
+    monkeypatch.undo()
 
     with SamplingEngine(
         shard_size=16,
@@ -283,11 +299,10 @@ def test_cli_parses_runtime_flags():
         [
             "seeds", "graph.tsv", "--targets-file", "t.txt",
             "--tags", "a", "-k", "2",
-            "--retries", "3", "--deadline", "60", "--max-samples", "1000",
+            "--deadline", "60", "--max-samples", "1000",
             "--checkpoint-dir", "/tmp/ckpt", "--resume",
         ]
     )
-    assert args.retries == 3
     assert args.deadline == pytest.approx(60.0)
     assert args.max_samples == 1000
     assert args.checkpoint_dir == "/tmp/ckpt"
@@ -304,3 +319,25 @@ def test_cli_joint_accepts_runtime_flags():
     )
     assert args.checkpoint_dir == "/tmp/ckpt"
     assert args.resume is False
+
+
+def test_cli_sampler_flags_name_one_engine():
+    from repro.cli import _make_sampler, build_parser
+
+    parser = build_parser()
+    base = ["seeds", "graph.tsv", "--targets-file", "t.txt",
+            "--tags", "a", "-k", "2"]
+    for removed in (["--sampler", "vectorized"], ["--workers", "2"],
+                    ["--retries", "1"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(base + removed)
+    # --checkpoint-dir alone opts into the bit-parallel engine.
+    sampler = _make_sampler(
+        parser.parse_args(base + ["--checkpoint-dir", "/tmp/ckpt"])
+    )
+    assert sampler.mode == "bitparallel"
+    assert sampler.checkpoint is not None
+    assert _make_sampler(parser.parse_args(base)) is None
+    # --workers survives on serve, where it sizes the shard fleet.
+    serve = parser.parse_args(["serve", "graph.tsv", "--workers", "3"])
+    assert serve.workers == 3

@@ -1,35 +1,22 @@
-"""Concurrency and fault tolerance of the mutable serving substrate.
+"""Concurrency of the mutable serving substrate.
 
-Three claims, each load-bearing for serving edits in production:
-
-1. **No torn reads.** A query is pinned to one ``(graph, epoch)`` pair
-   for its whole lifetime; a writer storming edits underneath
-   concurrent readers never produces an answer that mixes epochs. The
-   proof is behavioural: every answer is recomputed from a cold build
-   on ``MutableTagGraph.snapshot(answer.epoch)`` — the historical-epoch
-   replay — and must match bit-for-bit.
-2. **Worker death mid-storm is invisible.** Killing a pool worker
-   while queries and edits interleave must yield answers bit-identical
-   to a fault-free server of the same shape (the engine's
-   ``SeedSequence`` replay contract, here exercised through the full
-   serve + mutation stack).
-3. **No leaked shared memory.** Each epoch's snapshot is republished
-   to the pool through a fresh shared-CSR segment; superseded epochs
-   must be reclaimed by the weakref path once unpinned, and closing
-   the engine must leave zero live segments — across pool rebuilds.
+**No torn reads.** A query is pinned to one ``(graph, epoch)`` pair for
+its whole lifetime; a writer storming edits underneath concurrent
+readers never produces an answer that mixes epochs. The proof is
+behavioural: every answer is recomputed from a cold build on
+``MutableTagGraph.snapshot(answer.epoch)`` — the historical-epoch
+replay — and must match bit-for-bit. (Worker death under edits is
+exercised against the real process fleet in ``test_shard_chaos.py``.)
 """
 
 from __future__ import annotations
 
-import gc
 import threading
 import time
 
 import numpy as np
 
 from repro.core.joint import JointConfig
-from repro.engine import FaultPlan, RetryPolicy, SamplingEngine
-from repro.engine.shared_csr import active_tokens
 from repro.serve.server import CampaignServer
 from repro.sketch import (
     SketchConfig,
@@ -38,9 +25,6 @@ from repro.sketch import (
 )
 
 from tests.test_mutable_differential import TAGS, EditStorm, make_graph
-
-#: Fast-backoff policy so recovery tests don't sleep for real.
-FAST = RetryPolicy(backoff_base=0.001, backoff_max=0.005, jitter=0.0)
 
 SMALL = SketchConfig(theta_min=64, theta_max=256, pilot_samples=60)
 
@@ -117,97 +101,3 @@ def test_readers_never_see_torn_epochs_during_edit_storm():
                 )
     finally:
         server.close()
-
-
-def test_worker_kill_mid_storm_is_bit_identical_to_fault_free():
-    graph = make_graph(np.random.default_rng(7), n=40, m=160)
-    targets = list(range(0, graph.num_nodes, 2))
-
-    def run(fault_plan):
-        with SamplingEngine(
-            mode="bitparallel", shard_size=8, workers=2,
-            retry_policy=FAST, fault_plan=fault_plan,
-            parallel_threshold=0,
-        ) as engine:
-            server = CampaignServer(
-                graph,
-                config=JointConfig(sketch=SMALL),
-                mutable=True,
-                sampler=engine,
-            )
-            try:
-                storm = EditStorm(graph, np.random.default_rng(8))
-                answers = []
-                rebuilds = 0
-                for step in range(3):
-                    resp = server.find_seeds(
-                        targets, list(TAGS), 3, engine="trs", seed=step
-                    )
-                    answers.append((resp.epoch, resp.seeds, resp.spread))
-                    # Engine views isolate telemetry per query, so pool
-                    # rebuilds surface in the query report's runtime
-                    # counters, not on the parent engine.
-                    counters = resp.report["metrics"]["counters"]
-                    rebuilds += counters.get("runtime.pool_rebuilds", 0)
-                    server.apply_edits(storm.batch(2))
-            finally:
-                server.close()
-        return answers, rebuilds
-
-    clean, clean_rebuilds = run(None)
-    faulted, fault_rebuilds = run(FaultPlan().kill_shard(1))
-    assert clean_rebuilds == 0
-    assert fault_rebuilds >= 1, "the kill plan never fired"
-    assert faulted == clean, (
-        "worker death changed served answers:\n"
-        f"clean:   {clean}\nfaulted: {faulted}"
-    )
-    assert active_tokens() == frozenset(), (
-        "shared-memory CSR segments leaked across the pool rebuild"
-    )
-
-
-def test_epoch_republish_reclaims_superseded_segments():
-    graph = make_graph(np.random.default_rng(21), n=40, m=160)
-    targets = list(range(0, graph.num_nodes, 2))
-    with SamplingEngine(
-        mode="bitparallel", shard_size=8, workers=2,
-        retry_policy=FAST, parallel_threshold=0,
-    ) as engine:
-        server = CampaignServer(
-            graph,
-            config=JointConfig(sketch=SMALL),
-            mutable=True,
-            sampler=engine,
-        )
-        try:
-            storm = EditStorm(graph, np.random.default_rng(22))
-            peak = 0
-            for step in range(3):
-                # Spread queries route the *snapshot itself* through the
-                # pool, forcing a shared-CSR publication per epoch.
-                server.estimate_spread(
-                    seeds=[0, 1], targets=targets, tags=list(TAGS),
-                    num_samples=128, seed=step,
-                )
-                peak = max(peak, engine.published_graph_count())
-                server.apply_edits(storm.batch(2), repair=False)
-            server.estimate_spread(
-                seeds=[0, 1], targets=targets, tags=list(TAGS),
-                num_samples=128, seed=99,
-            )
-            peak = max(peak, engine.published_graph_count())
-            # Republish actually happened: base graph + at least one
-            # epoch snapshot were live simultaneously.
-            assert peak >= 2
-        finally:
-            server.close()
-        # Superseded epoch snapshots are now unreferenced; the weakref
-        # finalizers must reclaim their segments. Only the base graph
-        # (still referenced by this test and as the mutable's base) and
-        # the current snapshot (the MutableTagGraph's cache) may stay.
-        gc.collect()
-        assert engine.published_graph_count() <= 2
-    assert active_tokens() == frozenset(), (
-        "closing the engine left shared-memory segments live"
-    )

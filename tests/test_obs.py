@@ -5,9 +5,9 @@ Three families of guarantees:
 1. **Counters equal work.** ``rr.samples_drawn`` / ``rr.members`` /
    ``cascade.samples_drawn`` exactly equal the work an operation
    performed, on every execution path.
-2. **Invariance.** Those counters do not depend on worker count,
-   shard size, retries, or checkpoint/resume replay — they are counted
-   at the driver level from returned shapes, never inside workers.
+2. **Invariance.** Those counters do not depend on shard size or
+   checkpoint/resume replay — they are counted at the driver level from
+   returned shapes, never inside shard kernels.
 3. **No perturbation.** Runs with observability enabled are
    bit-identical to runs without it, and the disabled path costs one
    ``is None`` check per call site.
@@ -23,13 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.engine import (
-    CheckpointManager,
-    FaultPlan,
-    RetryPolicy,
-    RunTelemetry,
-    SamplingEngine,
-)
+from repro.engine import CheckpointManager, RunTelemetry, SamplingEngine
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import kernel_timer
 from repro.obs.report import SCHEMA, build_report, render_report
@@ -37,8 +31,6 @@ from repro.obs.trace import NULL_SPAN, Tracer, chrome_events_from_dicts
 from repro.seeds.api import find_seeds
 from repro.utils.timing import Timer
 from repro.utils.validation import as_target_array
-
-FAST = RetryPolicy(backoff_base=0.001, backoff_max=0.005, jitter=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +224,44 @@ class TestObserveScope:
         text = render_report(report)
         assert "phase_a" in text and "c" in text
 
+    def test_phase_table_lists_every_span_by_self_time(self):
+        from repro.obs.report import _phase_table
+
+        def span(name, start, duration, *children):
+            out = {"name": name, "start_seconds": start,
+                   "duration_seconds": duration}
+            if children:
+                out["children"] = list(children)
+            return out
+
+        # joint [0, 10): round [1, 9) holds two overlapping paths spans
+        # ([2, 5) and [4, 6) cover 4 s) and an mc span [6, 8); a second
+        # round [9, 10) has no children. A second root, mc [10, 12).
+        trace = [
+            span(
+                "joint", 0.0, 10.0,
+                span("round", 1.0, 8.0,
+                     span("paths", 2.0, 3.0),
+                     span("paths", 4.0, 2.0),
+                     span("mc", 6.0, 2.0)),
+                span("round", 9.0, 1.0),
+            ),
+            span("mc", 10.0, 2.0),
+        ]
+        phases = _phase_table(trace)
+        assert [p["name"] for p in phases] == [
+            "joint", "round", "paths", "mc"
+        ]
+        seconds = {p["name"]: p["seconds"] for p in phases}
+        assert seconds == pytest.approx(
+            {"joint": 1.0, "round": 3.0, "paths": 5.0, "mc": 4.0}
+        )
+        percent = {p["name"]: p["percent"] for p in phases}
+        assert percent["paths"] == pytest.approx(100.0 * 5.0 / 12.0)
+        assert sum(percent.values()) == pytest.approx(
+            100.0 * 13.0 / 12.0
+        )
+
     def test_render_rejects_unknown_schema(self):
         with pytest.raises(ValueError):
             render_report({"schema": "bogus/9"})
@@ -274,40 +304,17 @@ class TestCountersEqualWork:
         assert counters["rr.samples_drawn"] == 37 == len(sets)
         assert counters["rr.members"] == sum(s.size for s in sets)
 
-    def test_worker_count_invariance(self, query):
-        with SamplingEngine(shard_size=8) as serial:
-            c1, counters1 = _rr_counters(serial, query, theta=64)
+    def test_checkpoint_resume_replay_counts_once(
+        self, query, tmp_path, interrupt_after_shards, monkeypatch
+    ):
+        interrupt_after_shards(3)
         with SamplingEngine(
-            shard_size=8, workers=2, parallel_threshold=0
-        ) as pooled:
-            c2, counters2 = _rr_counters(pooled, query, theta=64)
-        np.testing.assert_array_equal(c1.members, c2.members)
-        drop = {"runtime.shards_run", "engine.parallel_fallbacks",
-                "runtime.parallel_fallbacks"}
-        work1 = {k: v for k, v in counters1.items() if k not in drop}
-        work2 = {k: v for k, v in counters2.items() if k not in drop}
-        assert work1 == work2
-
-    def test_retry_invariance(self, query):
-        plan = FaultPlan().fail_shard(1, attempts=(0, 1)).fail_shard(4)
-        with SamplingEngine(shard_size=8) as clean_engine:
-            _, clean = _rr_counters(clean_engine, query, theta=64)
-        with SamplingEngine(
-            shard_size=8, retry_policy=FAST, fault_plan=plan
-        ) as engine:
-            _, faulted = _rr_counters(engine, query, theta=64)
-            assert engine.telemetry.shards_retried == 3
-        assert faulted["rr.samples_drawn"] == clean["rr.samples_drawn"]
-        assert faulted["rr.members"] == clean["rr.members"]
-
-    def test_checkpoint_resume_replay_counts_once(self, query, tmp_path):
-        plan = FaultPlan().interrupt_after_shards(3)
-        with SamplingEngine(
-            shard_size=8, fault_plan=plan,
+            shard_size=8,
             checkpoint=CheckpointManager(tmp_path, resume=False, every=1),
         ) as engine:
             with pytest.raises(KeyboardInterrupt):
                 _rr_counters(engine, query, theta=64)
+        monkeypatch.undo()
         with SamplingEngine(
             shard_size=8,
             checkpoint=CheckpointManager(tmp_path, resume=True, every=1),
@@ -385,65 +392,16 @@ class TestNoPerturbation:
 
 
 # ---------------------------------------------------------------------------
-# Small-work parallel fallback
-# ---------------------------------------------------------------------------
-
-
-class TestParallelFallback:
-    def test_small_job_falls_back_and_is_recorded(self, query):
-        with SamplingEngine(shard_size=8, workers=2) as engine:
-            collection, counters = _rr_counters(engine, query, theta=64)
-            assert engine.telemetry.parallel_fallbacks == 1
-        assert counters["engine.parallel_fallbacks"] == 1
-        with SamplingEngine(shard_size=8) as serial:
-            reference = serial.sample_rr_sets(
-                query[0], query[1], query[2], 64, np.random.default_rng(11)
-            )
-        np.testing.assert_array_equal(collection.members, reference.members)
-
-    def test_threshold_zero_disables_fallback(self, query):
-        with SamplingEngine(
-            shard_size=8, workers=2, parallel_threshold=0
-        ) as engine:
-            _rr_counters(engine, query, theta=64)
-            assert engine.telemetry.parallel_fallbacks == 0
-
-    def test_large_job_uses_the_pool(self, query):
-        with SamplingEngine(
-            shard_size=8, workers=2, parallel_threshold=32
-        ) as engine:
-            _rr_counters(engine, query, theta=64)
-            assert engine.telemetry.parallel_fallbacks == 0
-
-    def test_fault_plan_suppresses_fallback(self, query):
-        # Fault injection targets the pool paths; a fallback would make
-        # the injected faults unreachable and silently pass those tests.
-        plan = FaultPlan().fail_shard(1)
-        with SamplingEngine(
-            shard_size=8, workers=2, retry_policy=FAST, fault_plan=plan
-        ) as engine:
-            _rr_counters(engine, query, theta=64)
-            assert engine.telemetry.parallel_fallbacks == 0
-            assert engine.telemetry.shards_retried >= 1
-
-    def test_threshold_validation(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            SamplingEngine(parallel_threshold=-1)
-
-
-# ---------------------------------------------------------------------------
 # RunTelemetry as a registry view
 # ---------------------------------------------------------------------------
 
 
 class TestTelemetryView:
     def test_kwargs_ctor_and_dict(self):
-        t = RunTelemetry(shards_run=3, shards_retried=1)
+        t = RunTelemetry(shards_run=3, checkpoint_writes=1)
         assert t.shards_run == 3
-        assert t.as_dict()["shards_retried"] == 1
-        assert "shards_retried=1" in t.summary()
+        assert t.as_dict()["checkpoint_writes"] == 1
+        assert "checkpoint_writes=1" in t.summary()
 
     def test_counts_flow_into_bound_registry(self):
         reg = MetricsRegistry()
@@ -492,8 +450,8 @@ class TestProfiling:
                     query[0], query[1], query[2], 64,
                     np.random.default_rng(11),
                 )
-        assert ob.metrics.value("kernel.batched_reverse_bfs.calls") >= 1
-        assert ob.metrics.histogram("frontier.rr_level_size").count >= 1
+        assert ob.metrics.value("kernel.bitworld_rr.calls") == 8
+        assert ob.metrics.histogram("kernel.bitworld_rr.seconds").count == 8
 
     def test_timer_metric_bridge(self):
         with obs.observe() as ob:

@@ -1,11 +1,9 @@
-"""Fault-injection tests for the fault-tolerant sampling runtime.
+"""Tests for the engine runtime: shard loop, budgets, interrupts, telemetry.
 
-The core claim under test: **failure handling never changes results**.
-Every recovery path — serial retries, pool rebuilds after worker
-kills, poison-driven degradation to the in-process path, the
-hung-shard watchdog — must produce output bit-identical to a clean
-run with the same master seed, because retried shards replay their
-``SeedSequence`` spawn-tree streams exactly.
+The core claim under test: **stopping a run never corrupts it**. A
+budget stop hands back a prefix of the clean run, an interrupt
+propagates as ``KeyboardInterrupt`` at a shard boundary, and every
+high-level entry point wraps the partial work it can salvage.
 """
 
 from __future__ import annotations
@@ -14,32 +12,19 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.diffusion.monte_carlo import estimate_spread
 from repro.engine import (
     Deadline,
-    FaultPlan,
-    RetryPolicy,
     RunBudget,
     RunTelemetry,
     SamplingEngine,
 )
 from repro.engine.rr_storage import RRCollection
-from repro.engine.runtime import is_permanent
-from repro.exceptions import (
-    BudgetExceededError,
-    ConfigurationError,
-    ReproError,
-    ShardFailedError,
-)
+from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.seeds.api import find_seeds
 from repro.sketch.trs import trs_select_seeds
 from repro.utils.validation import as_target_array
-
-#: Fast-backoff policy so retry tests don't sleep for real.
-FAST = RetryPolicy(backoff_base=0.001, backoff_max=0.005, jitter=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -74,38 +59,6 @@ def _clean(query, theta=64, seed=11, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-def test_retry_policy_validates():
-    with pytest.raises(ConfigurationError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ConfigurationError):
-        RetryPolicy(backoff_factor=0.5)
-    with pytest.raises(ConfigurationError):
-        RetryPolicy(jitter=-0.1)
-
-
-def test_retry_policy_delay_grows_and_caps():
-    policy = RetryPolicy(
-        backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3, jitter=0.0
-    )
-    import random
-
-    rng = random.Random(0)
-    delays = [policy.delay(i, rng) for i in range(4)]
-    assert delays[0] == pytest.approx(0.1)
-    assert delays[1] == pytest.approx(0.2)
-    assert delays[2] == pytest.approx(0.3)  # capped
-    assert delays[3] == pytest.approx(0.3)
-
-
-def test_permanence_classification():
-    from repro.engine.faults import InjectedFault, InjectedPermanentFault
-
-    assert is_permanent(ReproError("boom"))
-    assert is_permanent(InjectedPermanentFault("boom"))
-    assert not is_permanent(InjectedFault("boom"))
-    assert not is_permanent(TimeoutError("slow"))
-
-
 def test_deadline_never_and_expiry():
     assert not Deadline(None).expired()
     assert Deadline(None).remaining() is None
@@ -135,164 +88,54 @@ def test_budget_member_cap_trips():
 
 
 def test_telemetry_merge_and_summary():
-    a = RunTelemetry(shards_run=3, shards_retried=1)
-    b = RunTelemetry(shards_run=2, pool_rebuilds=1)
+    a = RunTelemetry(shards_run=3, checkpoint_writes=1)
+    b = RunTelemetry(shards_run=2, checkpoint_loads=1)
     a.merge(b)
     assert a.shards_run == 5
-    assert "shards_retried=1" in a.summary()
+    assert a.checkpoint_loads == 1
+    assert "checkpoint_writes=1" in a.summary()
     assert RunTelemetry().summary() == "clean"
+    with pytest.raises(TypeError):
+        RunTelemetry(shards_retried=1)
 
 
 def test_engine_validates_configuration():
     with pytest.raises(ConfigurationError):
         SamplingEngine(workers=0)
+    with pytest.raises(ConfigurationError, match="shard fleet"):
+        SamplingEngine(workers=2)
+    with pytest.raises(ConfigurationError):
+        SamplingEngine(mode="vectorized")
     with pytest.raises(ConfigurationError):
         SamplingEngine(shard_size=0)
+    assert SamplingEngine(workers=1).mode == "bitparallel"
 
 
 # ---------------------------------------------------------------------------
-# Serial retry determinism
+# Interrupts
 # ---------------------------------------------------------------------------
 
 
-def test_serial_retry_is_bit_identical(query):
-    clean = _clean(query)
-    plan = FaultPlan().fail_shard(1, attempts=(0, 1)).fail_shard(4)
-    with SamplingEngine(
-        shard_size=8, retry_policy=FAST, fault_plan=plan
-    ) as engine:
-        faulted = _rr(engine, query)
-        assert engine.telemetry.shards_retried == 3
-        assert engine.telemetry.shards_failed == 0
-    _assert_same(clean, faulted)
-
-
-def test_serial_permanent_fault_propagates(query):
-    plan = FaultPlan().fail_shard(2, permanent=True)
-    with SamplingEngine(
-        shard_size=8, retry_policy=FAST, fault_plan=plan
-    ) as engine:
-        with pytest.raises(ShardFailedError) as info:
-            _rr(engine, query)
-    assert info.value.shard_index == 2
-    assert info.value.attempts == 1  # permanent: no retry
-
-
-def test_serial_retry_exhaustion(query):
-    plan = FaultPlan().fail_shard(0, attempts=(0, 1, 2, 3, 4))
-    policy = RetryPolicy(
-        max_attempts=3, backoff_base=0.001, backoff_max=0.002, jitter=0.0
-    )
-    with SamplingEngine(
-        shard_size=8, retry_policy=policy, fault_plan=plan
-    ) as engine:
-        with pytest.raises(ShardFailedError) as info:
-            _rr(engine, query)
-    assert info.value.attempts == 3
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    schedule=st.dictionaries(
-        st.tuples(st.integers(0, 7), st.integers(0, 1)),
-        st.just("fail"),
-        max_size=6,
-    )
-)
-def test_any_retry_schedule_leaves_results_unchanged(small_yelp, schedule):
-    """Property: arbitrary transient-failure schedules never change bits."""
-    graph = small_yelp.graph
-    targets = as_target_array(
-        list(range(12)), graph.num_nodes, context="test"
-    )
-    edge_probs = graph.edge_probabilities(list(graph.tags[:3]))
-    query = (graph, targets, edge_probs)
-    clean = _clean(query)
-    plan = FaultPlan(shard_faults=dict(schedule))
-    with SamplingEngine(
-        shard_size=8, retry_policy=FAST, fault_plan=plan
-    ) as engine:
-        faulted = _rr(engine, query)
-    _assert_same(clean, faulted)
-
-
-# ---------------------------------------------------------------------------
-# Pool recovery paths
-# ---------------------------------------------------------------------------
-
-
-def test_pool_kill_rebuilds_and_matches(query):
-    clean = _clean(query)
-    plan = FaultPlan().kill_shard(3)
-    with SamplingEngine(
-        shard_size=8, workers=2, retry_policy=FAST, fault_plan=plan
-    ) as engine:
-        faulted = _rr(engine, query)
-        assert engine.telemetry.pool_rebuilds >= 1
-    _assert_same(clean, faulted)
-
-
-def test_bitparallel_pool_kill_rebuilds_and_matches(query):
-    """Worker death mid-shard under the bit-parallel kernels.
-
-    The bit-parallel mode ships its CSR to workers through shared
-    memory, so a BrokenProcessPool rebuild has more to get right than
-    the vectorized path: the replacement pool must re-attach the
-    segments, the retried shard must replay its SeedSequence stream
-    into identical packed worlds, and closing the engine must leave
-    zero shared-memory segments behind.
-    """
-    from repro.engine.shared_csr import active_tokens
-
-    clean = _clean(query, mode="bitparallel")
-    plan = FaultPlan().kill_shard(3)
-    with SamplingEngine(
-        mode="bitparallel", shard_size=8, workers=2,
-        retry_policy=FAST, fault_plan=plan,
-    ) as engine:
-        faulted = _rr(engine, query)
-        assert engine.telemetry.pool_rebuilds >= 1
-    _assert_same(clean, faulted)
-    assert active_tokens() == frozenset(), (
-        "shared-memory CSR segments leaked across the pool rebuild"
-    )
-
-
-def test_poisoned_pool_degrades_to_serial(query):
-    clean = _clean(query)
-    plan = FaultPlan().poison_pool_after(0, times=10)
-    policy = RetryPolicy(
-        max_pool_rebuilds=1, backoff_base=0.001, backoff_max=0.002,
-        jitter=0.0,
-    )
-    with SamplingEngine(
-        shard_size=8, workers=2, retry_policy=policy, fault_plan=plan
-    ) as engine:
-        faulted = _rr(engine, query)
-        assert engine.telemetry.degradations == 1
-    _assert_same(clean, faulted)
-
-
-def test_hung_shard_watchdog_recovers(query):
-    clean = _clean(query)
-    plan = FaultPlan().hang_shard(2, seconds=20.0)
-    policy = RetryPolicy(
-        shard_timeout=0.4, backoff_base=0.001, backoff_max=0.002,
-        jitter=0.0,
-    )
-    with SamplingEngine(
-        shard_size=8, workers=2, retry_policy=policy, fault_plan=plan
-    ) as engine:
-        faulted = _rr(engine, query)
-        assert engine.telemetry.shards_retried >= 1
-    _assert_same(clean, faulted)
-
-
-def test_injected_interrupt_raises_keyboard_interrupt(query):
-    plan = FaultPlan().interrupt_after_shards(3)
-    with SamplingEngine(shard_size=8, fault_plan=plan) as engine:
+def test_injected_interrupt_raises_keyboard_interrupt(
+    query, interrupt_after_shards
+):
+    state = interrupt_after_shards(3)
+    with SamplingEngine(shard_size=8) as engine:
         with pytest.raises(KeyboardInterrupt):
             _rr(engine, query)
+        assert engine.telemetry.shards_run == 3
+    assert state["done"] == 3
+
+
+def test_for_query_isolates_telemetry(query):
+    parent = SamplingEngine(mode="scalar", shard_size=16)
+    view = parent.for_query()
+    assert (view.mode, view.shard_size) == ("scalar", 16)
+    assert view.checkpoint is None
+    _rr(view, query)
+    assert view.telemetry.shards_run == 4
+    assert parent.telemetry.shards_run == 0
+    _assert_same(_rr(parent, query), _rr(parent.for_query(), query))
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +209,12 @@ def test_find_seeds_wraps_budget_partial(small_yelp):
 def test_results_carry_telemetry(small_yelp):
     graph = small_yelp.graph
     tags = list(graph.tags[:3])
-    plan = FaultPlan().fail_shard(0)
-    with SamplingEngine(
-        shard_size=8, retry_policy=FAST, fault_plan=plan
-    ) as engine:
+    with SamplingEngine(shard_size=8) as engine:
         selection = find_seeds(
             graph, list(range(20)), tags, 3, engine="trs", rng=5,
             sampler=engine,
         )
     assert selection.telemetry is not None
-    assert selection.telemetry["shards_retried"] >= 1
+    assert selection.telemetry["shards_run"] >= 1
     scalar = find_seeds(graph, list(range(20)), tags, 3, rng=5)
     assert scalar.telemetry is None

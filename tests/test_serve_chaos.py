@@ -12,8 +12,7 @@ The :class:`ServeFaultPlan` contract under test:
 * **Server integration** — injected admission failures reject cleanly
   before accounting; injected dequeue failures surface on the query's
   future without leaking in-system slots; injected build failures
-  drive the circuit breaker; an attached engine ``FaultPlan`` composes
-  worker-level faults into the same scenario.
+  drive the circuit breaker.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.joint import JointConfig
-from repro.engine import FaultPlan
-from repro.engine.parallel import RetryPolicy, SamplingEngine
 from repro.exceptions import ConfigurationError
 from repro.serve import CampaignServer, InjectedChaosError, ServeFaultPlan
 from repro.sketch.theta import SketchConfig
@@ -227,30 +224,3 @@ class TestServerIntegration:
         first = outcomes(11)
         assert outcomes(11) == first
         assert set(first) & {"ok", "chaos", "CircuitOpenError"}
-
-    def test_engine_plan_composes_with_serve_chaos(self, small_yelp):
-        """One scenario: worker death below, serve-layer chaos above."""
-        plan = ServeFaultPlan(
-            seed=0, engine_plan=FaultPlan().kill_shard(3),
-        )
-        engine = SamplingEngine(
-            shard_size=8, workers=2,
-            retry_policy=RetryPolicy(
-                backoff_base=0.001, backoff_max=0.005, jitter=0.0,
-            ),
-        )
-        graph = small_yelp.graph
-        with engine:
-            with _server(graph, sampler=engine, chaos=plan) as server:
-                assert engine.fault_plan is plan.engine_plan
-                tags = tuple(graph.tags[:2])
-                targets = tuple(range(min(12, graph.num_nodes)))
-                resp = server.submit_find_seeds(
-                    targets, tags, 2, engine="trs", seed=0,
-                ).result(timeout=WAIT)
-        assert resp.value.seeds
-        # The worker kill actually happened and was survived; per-query
-        # engine views publish runtime counters into the query report.
-        counters = resp.report["metrics"]["counters"]
-        assert counters["runtime.pool_rebuilds"] >= 1
-        assert counters["runtime.shards_retried"] >= 1

@@ -159,19 +159,19 @@ class TestInterleavedDeterminism:
             )
 
     def test_no_telemetry_bleed_between_concurrent_queries(self, fig9_graph):
-        """Regression: per-query counters on a shared pooled engine.
+        """Regression: per-query counters on a shared engine.
 
         Two concurrent queries through one ``SamplingEngine`` must each
-        report exactly the counters of their solo runs — before the
-        per-query :class:`~repro.engine.QueryEngineView` isolation, the
-        engine's telemetry registry was shared and ``rr.samples_drawn``
-        (and every ``runtime.*`` counter) summed across queries.
+        report exactly the counters of their solo runs — without the
+        per-query engines from ``SamplingEngine.for_query``, the
+        engine's telemetry registry is shared and ``rr.samples_drawn``
+        (and every ``runtime.*`` counter) sums across queries.
         """
         query_a = dict(tags=("c5", "c4"), seed=0)
         query_b = dict(tags=("c6", "c1"), seed=3)
 
         def run_pair(concurrent):
-            with SamplingEngine(mode="vectorized", workers=1) as engine:
+            with SamplingEngine(mode="bitparallel", workers=1) as engine:
                 with _server(
                     fig9_graph, sampler=engine, pool_size=2
                 ) as server:
